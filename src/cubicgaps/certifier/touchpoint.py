@@ -26,6 +26,7 @@ import numpy as np
 
 from ..errors import BadInput, NumericalFailure, RefusedCertificate
 from ..covers.periodic import (
+    _FLAT_TOL,
     PeriodicGraph,
     bands,
     flat_values,
@@ -52,7 +53,6 @@ __all__ = [
     "verify_certificate",
 ]
 
-_FLAT_TOL = 1e-9
 _ANGLE_TOL = 1e-9
 _ENDPOINT_MATCH = 1e-6
 CERT_FORMAT = "gap-certificate/1"

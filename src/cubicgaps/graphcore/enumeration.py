@@ -4,9 +4,14 @@ The generator completes the lowest-index vertex that is still short of
 degree 3, choosing its next incident edge from a monotone menu (loop,
 edge to an already-touched vertex, edge to a fresh vertex).  Forcing the
 menu choices at each vertex to be non-decreasing kills most permuted
-duplicates cheaply; the survivors are deduplicated exactly by bucketing
-on (rounded spectrum, sorted vertex signatures) and running the
-backtracking isomorphism test inside each bucket.
+duplicates cheaply; the survivors are deduplicated exactly in one pass.
+Each raw graph's adjacency rows and vertex signatures are built once,
+its spectrum comes from one batched eigensolve per chunk of raw graphs,
+and (rounded spectrum, sorted signatures) picks its bucket.  Inside the
+bucket it is matched, by the exact neighbour-guided backtracking of
+``multigraph``, against the match plans of the class representatives
+found so far; only representatives keep any matcher data, and a raw
+graph that matches none becomes the next one.
 
 Known class counts for n = 2..10 (loops and parallel edges allowed):
 2, 5, 17, 71, 388; simple graphs: 1 (n=4), 2, 5, 19.
@@ -14,10 +19,12 @@ Known class counts for n = 2..10 (loops and parallel edges allowed):
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ..errors import BadInput
-from .multigraph import Multigraph, are_isomorphic, canonical_code, signatures, spectrum
+from .multigraph import Multigraph, _invariants, _match, _match_plan, canonical_code
 
 __all__ = ["enumerate_cubic_multigraphs", "named_graph", "NAMED_BUILDERS"]
 
@@ -27,32 +34,12 @@ def _generate_raw(n, allow_loops, allow_multi):
 
     ``used`` counts how many vertices have been touched so far; vertex
     indices are assigned in first-touch order, which is what makes the
-    non-decreasing menu sound.
+    non-decreasing menu sound.  A vertex is first touched only by an edge
+    from an already-touched one, so those edges span every finished
+    graph and no connectivity check is needed.
     """
     deg = [0] * n
     edges = []
-    out = []
-
-    def emit():
-        # connectivity check on the finished degree sequence
-        nbr = [[] for _ in range(n)]
-        for u, v in edges:
-            if u != v:
-                nbr[u].append(v)
-                nbr[v].append(u)
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        cnt = 1
-        while stack:
-            u = stack.pop()
-            for v in nbr[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    cnt += 1
-                    stack.append(v)
-        if cnt == n:
-            out.append(tuple(edges))
 
     def fill(v, used, min_choice):
         """Add one more edge at vertex v.  Choices are encoded so that a
@@ -60,13 +47,13 @@ def _generate_raw(n, allow_loops, allow_multi):
         fresh vertex is 1+used; requiring choice >= min_choice makes the
         incident-edge menu at v non-decreasing."""
         if deg[v] == 3:
-            rec(used)
+            yield from rec(used)
             return
         rem = 3 - deg[v]
         if allow_loops and min_choice == 0 and rem >= 2:
             deg[v] += 2
             edges.append((v, v))
-            fill(v, used, 1 + v)
+            yield from fill(v, used, 1 + v)
             edges.pop()
             deg[v] -= 2
         for u in range(v, used):
@@ -75,12 +62,12 @@ def _generate_raw(n, allow_loops, allow_multi):
                 continue
             if deg[u] >= 3 or u == v:
                 continue
-            if not allow_multi and (v, u) in _edgeset(edges):
+            if not allow_multi and (v, u) in edges:
                 continue
             deg[v] += 1
             deg[u] += 1
             edges.append((v, u) if v <= u else (u, v))
-            fill(v, used, choice if allow_multi else choice + 1)
+            yield from fill(v, used, choice if allow_multi else choice + 1)
             edges.pop()
             deg[v] -= 1
             deg[u] -= 1
@@ -91,7 +78,7 @@ def _generate_raw(n, allow_loops, allow_multi):
                 deg[v] += 1
                 deg[u] += 1
                 edges.append((v, u))
-                fill(v, used + 1, choice if allow_multi else choice + 1)
+                yield from fill(v, used + 1, choice if allow_multi else choice + 1)
                 edges.pop()
                 deg[v] -= 1
                 deg[u] -= 1
@@ -100,17 +87,15 @@ def _generate_raw(n, allow_loops, allow_multi):
         v = next((i for i in range(used) if deg[i] < 3), None)
         if v is None:
             if used == n:
-                emit()
+                yield tuple(edges)
             return
-        fill(v, used, 0)
+        yield from fill(v, used, 0)
 
-    deg[0] = 0
-    fill(0, 1, 0)
-    return out
+    return fill(0, 1, 0)
 
 
-def _edgeset(edges):
-    return set(edges)
+# raw graphs per batched eigensolve in the dedup pass
+_CHUNK = 32
 
 
 def enumerate_cubic_multigraphs(n: int, allow_loops: bool = True, allow_multi: bool = True):
@@ -122,20 +107,18 @@ def enumerate_cubic_multigraphs(n: int, allow_loops: bool = True, allow_multi: b
     if n % 2 != 0 or not 2 <= n <= 12:
         raise BadInput("n must be even with 2 <= n <= 12")
     raw = _generate_raw(n, allow_loops, allow_multi)
-    buckets = {}
-    for edges in raw:
-        g = Multigraph(n=n, edges=edges)
-        spec_key = tuple(np.round(spectrum(g), 6))
-        key = (spec_key, tuple(sorted(signatures(g))))
-        buckets.setdefault(key, []).append(g)
+    plans = {}  # bucket key -> match plans of its class representatives
     reps = []
-    for key in sorted(buckets):
-        classes = []
-        for g in buckets[key]:
-            if not any(are_isomorphic(g, h) for h in classes):
-                classes.append(g)
-        for g in classes:
-            reps.append((key, g))
+    while chunk := list(itertools.islice(raw, _CHUNK)):
+        invs = [_invariants(n, edges) for edges in chunk]
+        stacked = np.array([rows for rows, _, _ in invs], dtype=np.float64)
+        spectra = np.round(np.linalg.eigvalsh(stacked), 6).tolist()
+        for edges, (rows, nbrs, sigs), spec in zip(chunk, invs, spectra):
+            key = (tuple(spec), tuple(sorted(sigs)))
+            bucket = plans.setdefault(key, [])
+            if not any(_match(p, rows, nbrs, sigs) for p in bucket):
+                bucket.append(_match_plan(rows, nbrs, sigs))
+                reps.append((key, Multigraph(n=n, edges=edges)))
     reps.sort(key=lambda kg: (kg[0], kg[1].edges))
     return [g for _, g in reps]
 

@@ -15,7 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,27 +254,42 @@ def is_bipartite(G: Multigraph) -> bool:
 # -- isomorphism ---------------------------------------------------------
 
 
+def _invariants(n, edges, half_loops=()):
+    """Integer adjacency rows, sorted neighbour lists (loops dropped,
+    parallel edges collapsed) and per-vertex signatures, built once in
+    pure Python from the edge list."""
+    rows = [[0] * n for _ in range(n)]
+    nbrs = [[] for _ in range(n)]
+    loops = [0] * n
+    halves = [0] * n
+    for u, v in edges:
+        if u == v:
+            rows[u][u] += 2
+            loops[u] += 1
+        else:
+            if not rows[u][v]:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+            rows[u][v] += 1
+            rows[v][u] += 1
+    for v in half_loops:
+        rows[v][v] += 1
+        halves[v] += 1
+    sigs = tuple((sum(row), lp, hl, tuple(sorted([row[w] for w in nb])))
+                 for row, nb, lp, hl in zip(rows, nbrs, loops, halves))
+    for nb in nbrs:
+        nb.sort()
+    return rows, nbrs, sigs
+
+
 def signatures(G: Multigraph):
     """Per-vertex local invariants, one sorted tuple per vertex.
 
     Each vertex gets (degree, loop count, half-loop count, sorted nonzero
     off-diagonal row multiplicities).  Used to prune isomorphism search
-    and to bucket graphs before pairwise comparison.
+    and to bucket graphs before matching.
     """
-    a = G.adjacency()
-    deg = G.degrees()
-    loops = [0] * G.n
-    for u, v in G.edges:
-        if u == v:
-            loops[u] += 1
-    halves = [0] * G.n
-    for v in G.half_loops:
-        halves[v] += 1
-    sigs = []
-    for v in range(G.n):
-        row = sorted(int(a[v, w]) for w in range(G.n) if w != v and a[v, w])
-        sigs.append((deg[v], loops[v], halves[v], tuple(row)))
-    return tuple(sigs)
+    return _invariants(G.n, G.edges, G.half_loops)[2]
 
 
 def permute(G: Multigraph, perm) -> Multigraph:
@@ -287,58 +302,115 @@ def permute(G: Multigraph, perm) -> Multigraph:
     )
 
 
-def _iso_backtrack(a1, a2, order, cand):
-    n = a1.shape[0]
-    mapping = [-1] * n
+def _match_plan(rows, nbrs, sigs):
+    """Placement order for matching this graph onto another.
+
+    Breadth-first from a vertex of the rarest signature, restarted the
+    same way on every further component.  One entry per position:
+    (signature, parent position or -1 at a root, (earlier position,
+    multiplicity) for each neighbour placed before it, their total
+    multiplicity).
+    """
+    freq = Counter(sigs)
+    pos = [-1] * len(sigs)
+    plan = []
+
+    def place(v, parent):
+        back = tuple((pos[u], rows[v][u]) for u in nbrs[v] if pos[u] >= 0)
+        pos[v] = len(plan)
+        plan.append((sigs[v], parent, back, sum(m for _, m in back)))
+
+    for root in sorted(range(len(sigs)), key=lambda v: (freq[sigs[v]], sigs[v], v)):
+        if pos[root] >= 0:
+            continue
+        place(root, -1)
+        queue = [root]
+        for u in queue:
+            for v in nbrs[u]:
+                if pos[v] < 0:
+                    place(v, pos[u])
+                    queue.append(v)
+    return plan
+
+
+def _match(plan, rows, nbrs, sigs) -> bool:
+    """Is there an isomorphism from the planned graph onto (rows, nbrs,
+    sigs)?  Both graphs must have the same number of vertices.
+
+    Exact backtracking: a root may go to any unused vertex of its
+    signature, every other vertex to an unused neighbour of its parent's
+    image.  A candidate must repeat the multiplicity of every edge to an
+    earlier position and have no further edges into the placed part, so
+    a full placement preserves the adjacency matrix, diagonal included
+    (equal signatures give equal loop and half-loop counts).
+    """
+    n = len(plan)
+    img = [-1] * n
     used = [False] * n
+    into = [0] * n  # edge multiplicity from each vertex into the placed part
 
-    def place(i):
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in cand[v]:
-            if used[w] or a1[v, v] != a2[w, w]:
+    def candidates(i):
+        sig, parent, back, need = plan[i]
+        out = []
+        for w in (range(n) if parent < 0 else nbrs[img[parent]]):
+            if used[w] or into[w] != need or sigs[w] != sig:
                 continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if a1[v, u] != a2[w, mapping[u]]:
-                    ok = False
+            row = rows[w]
+            for j, m in back:
+                if row[img[j]] != m:
                     break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if place(i + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
+            else:
+                out.append(w)
+        return out
 
-    return place(0)
+    cands = [None] * n
+    nxt = [0] * n
+    cands[0] = candidates(0)
+    i = 0
+    while True:
+        if nxt[i] < len(cands[i]):
+            w = cands[i][nxt[i]]
+            nxt[i] += 1
+            img[i] = w
+            used[w] = True
+            row = rows[w]
+            for x in nbrs[w]:
+                into[x] += row[x]
+            i += 1
+            if i == n:
+                return True
+            cands[i] = candidates(i)
+            nxt[i] = 0
+        else:
+            i -= 1
+            if i < 0:
+                return False
+            w = img[i]
+            used[w] = False
+            row = rows[w]
+            for x in nbrs[w]:
+                into[x] -= row[x]
 
 
 def are_isomorphic(G1: Multigraph, G2: Multigraph) -> bool:
-    """Exact isomorphism test by signature-pruned backtracking.
+    """Exact isomorphism test, loops, parallel edges and half-loops
+    included, disconnected inputs too.
 
-    Intended for desk scale (n <= 16 or so); enumeration dedup calls it
-    only within buckets of matching invariants.
+    Cheap invariants (sizes, sorted signatures, spectrum) reject first;
+    the rest is the neighbour-guided backtracking matcher that the
+    enumeration dedup also uses.  Intended for desk scale.
     """
     if G1.n != G2.n or len(G1.edges) != len(G2.edges):
         return False
     if len(G1.half_loops) != len(G2.half_loops):
         return False
-    s1, s2 = signatures(G1), signatures(G2)
+    rows1, nbrs1, s1 = _invariants(G1.n, G1.edges, G1.half_loops)
+    rows2, nbrs2, s2 = _invariants(G2.n, G2.edges, G2.half_loops)
     if sorted(s1) != sorted(s2):
         return False
-    e1, e2 = spectrum(G1), spectrum(G2)
-    if np.max(np.abs(e1 - e2)) > 1e-8:
+    if np.max(np.abs(spectrum(G1) - spectrum(G2))) > 1e-8:
         return False
-    a1, a2 = G1.adjacency(), G2.adjacency()
-    cand = [[w for w in range(G2.n) if s2[w] == s1[v]] for v in range(G1.n)]
-    if any(not c for c in cand):
-        return False
-    order = sorted(range(G1.n), key=lambda v: len(cand[v]))
-    return _iso_backtrack(a1, a2, order, cand)
+    return _match(_match_plan(rows1, nbrs1, s1), rows2, nbrs2, s2)
 
 
 def canonical_code(G: Multigraph, node_cap: int = 2_000_000) -> bytes:
@@ -348,18 +420,18 @@ def canonical_code(G: Multigraph, node_cap: int = 2_000_000) -> bytes:
     included, lower triangle) over all vertex orderings, found by a
     branch-and-bound over orderings with signature-based candidate
     restriction.  Exhaustive, so keep n small (fixtures and catalog seeds
-    use n <= 8).  ``node_cap`` guards against symmetric blowups.
+    use n <= 8).  ``node_cap`` guards against symmetric blowups: past it
+    the search gives up with BadInput.
     """
-    a = G.adjacency()
+    a, _, sigs = _invariants(G.n, G.edges, G.half_loops)
     n = G.n
-    sigs = signatures(G)
     best = [None]
     nodes = [0]
 
     def extend(order, rows):
         nodes[0] += 1
         if nodes[0] > node_cap:
-            raise RuntimeError("canonical_code search exceeded node cap")
+            raise BadInput(f"canonical_code search exceeded node cap {node_cap} (n={n})")
         k = len(order)
         if k == n:
             if best[0] is None or rows < best[0]:
@@ -370,7 +442,7 @@ def canonical_code(G: Multigraph, node_cap: int = 2_000_000) -> bytes:
         for v in range(n):
             if v in used:
                 continue
-            row = tuple(int(a[v, u]) for u in order) + (int(a[v, v]),)
+            row = tuple(a[v][u] for u in order) + (a[v][v],)
             cands.append((row, sigs[v], v))
         cands.sort()
         for row, _, v in cands:

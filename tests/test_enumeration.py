@@ -1,12 +1,20 @@
+import functools
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from cubicgaps.covers import quotient_by_automorphism
+from cubicgaps.covers.reference import folded_prism_ring
 from cubicgaps.errors import BadInput
 from cubicgaps.graphcore import (
+    Multigraph,
     are_isomorphic,
     enumerate_cubic_multigraphs,
     graph_id,
     named_graph,
+    signatures,
     spectrum,
 )
 
@@ -15,10 +23,50 @@ MULTI_COUNTS = {2: 2, 4: 5, 6: 17, 8: 71}
 # connected simple cubic graphs
 SIMPLE_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19}
 
+# sha256 of the representatives' edge lists, in output order, first 16
+# hex digits; pins which graph stands for each class and the order
+MULTI_GOLDEN = {
+    2: "7d9ea9614f0f438b",
+    4: "fec7e7b5bffae3ec",
+    6: "32ecce715e19cbc6",
+    8: "3285de9c8fe3330d",
+    10: "88cc8196ed7054eb",
+}
+SIMPLE_GOLDEN = {
+    4: "aee9a563bc04b979",
+    6: "0d2d17f52dfae21d",
+    8: "e42b567df8c7457e",
+    10: "2e8319e4196db842",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _classes(n, simple=False):
+    if simple:
+        return enumerate_cubic_multigraphs(n, allow_loops=False, allow_multi=False)
+    return enumerate_cubic_multigraphs(n)
+
+
+def _digest(graphs):
+    text = json.dumps([[list(e) for e in G.edges] for G in graphs])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _reference_signatures(G):
+    """Per-vertex signatures computed from the numpy adjacency matrix,
+    independently of the library's own construction."""
+    a = G.adjacency()
+    loops = [sum(1 for u, v in G.edges if u == v == w) for w in range(G.n)]
+    halves = [G.half_loops.count(w) for w in range(G.n)]
+    return tuple(
+        (int(a[v].sum()), loops[v], halves[v],
+         tuple(sorted(int(a[v, w]) for w in range(G.n) if w != v and a[v, w])))
+        for v in range(G.n))
+
 
 @pytest.mark.parametrize("n", sorted(MULTI_COUNTS))
 def test_multigraph_counts(n):
-    graphs = enumerate_cubic_multigraphs(n)
+    graphs = _classes(n)
     assert len(graphs) == MULTI_COUNTS[n]
     for G in graphs:
         assert G.n == n
@@ -28,18 +76,44 @@ def test_multigraph_counts(n):
 
 @pytest.mark.parametrize("n", sorted(SIMPLE_COUNTS))
 def test_simple_counts(n):
-    graphs = enumerate_cubic_multigraphs(n, allow_loops=False, allow_multi=False)
+    graphs = _classes(n, simple=True)
     assert len(graphs) == SIMPLE_COUNTS[n]
     for G in graphs:
         assert not G.has_loops and not G.has_multi
 
 
 def test_multigraph_count_n10():
-    assert len(enumerate_cubic_multigraphs(10)) == 388
+    assert len(_classes(10)) == 388
+
+
+@pytest.mark.parametrize("n", sorted(MULTI_GOLDEN))
+def test_multigraph_representatives_golden(n):
+    assert _digest(_classes(n)) == MULTI_GOLDEN[n]
+
+
+@pytest.mark.parametrize("n", sorted(SIMPLE_GOLDEN))
+def test_simple_representatives_golden(n):
+    assert _digest(_classes(n, simple=True)) == SIMPLE_GOLDEN[n]
+
+
+@pytest.mark.parametrize("n", sorted(MULTI_GOLDEN))
+def test_signatures_match_reference_on_classes(n):
+    for G in _classes(n):
+        assert signatures(G) == _reference_signatures(G)
+
+
+def test_signatures_match_reference_on_half_loop_quotients():
+    k4_fold = quotient_by_automorphism(named_graph("k4"), [(1, 0, 3, 2)])
+    base = Multigraph(2, [(0, 1), (0, 1)], half_loops=(0, 1))
+    cases = [k4_fold, base, quotient_by_automorphism(base, [(1, 0)]),
+             folded_prism_ring(3)]
+    assert all(G.half_loops for G in cases)
+    for G in cases:
+        assert signatures(G) == _reference_signatures(G)
 
 
 def test_pairwise_non_isomorphic_n6():
-    graphs = enumerate_cubic_multigraphs(6)
+    graphs = _classes(6)
     for i in range(len(graphs)):
         for j in range(i + 1, len(graphs)):
             assert not are_isomorphic(graphs[i], graphs[j])
