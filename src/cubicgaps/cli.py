@@ -28,9 +28,8 @@ from . import __version__
 from .certifier import (certify_touchpoint, cover_id, exact_eigenpairs,
                         locate_touch_angle, verify_certificate)
 from .covers import (PeriodicGraph, bands, catalog_hash, coverage_report,
-                     cyclic_quotient, entry_cover, gap_report, load_catalog,
-                     search_covers, torus_quotient)
-from .covers.search import _dedup_key
+                     cyclic_quotient, entry_cover, gap_report,
+                     iter_search_covers, load_catalog, torus_quotient)
 from .dynamics import (IntervalSet, a_membership, capacity_estimate,
                        plan_gap_witness, preimage_intervals, realize_plan,
                        tmap)
@@ -252,22 +251,15 @@ def cmd_search(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
     catalog_path = out / "catalog.jsonl"
     entries = []
-    seen = set()
     interrupted = False
     with open(catalog_path, "w") as fh:
         try:
-            for seed in seeds:
-                batch = search_covers([seed], rank=args.rank,
-                                      two_link=True, N=cfg.grid)
-                for e in batch:
-                    key = _dedup_key(e.base.n, e.report)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    entries.append(e)
-                    fh.write(json.dumps(e.to_json(), sort_keys=True,
-                                        separators=(",", ":")))
-                    fh.write("\n")
+            for e in iter_search_covers(seeds, rank=args.rank,
+                                        two_link=True, N=cfg.grid):
+                entries.append(e)
+                fh.write(json.dumps(e.to_json(), sort_keys=True,
+                                    separators=(",", ":")))
+                fh.write("\n")
                 fh.flush()
         except KeyboardInterrupt:
             interrupted = True

@@ -30,6 +30,7 @@ from .periodic import (GapReport, PeriodicGraph, bands, cyclic_quotient,
 
 __all__ = [
     "CatalogEntry",
+    "iter_search_covers",
     "search_covers",
     "search_planar_covers",
     "coverage_report",
@@ -119,73 +120,75 @@ def _offsets_for(m: int, assignment: dict, rank: int):
     return tuple(assignment.get(j, zero) for j in range(m))
 
 
-def search_covers(seeds, rank: int = 2, two_link: bool = True,
-                  N: int = 256) -> list:
-    """Sweep the seeds and return deduplicated CatalogEntry rows.
+def _candidates(seed: Multigraph, rank: int, two_link: bool, N: int):
+    """(offsets, subtorus, cover, grid) for every cover of one seed, in
+    catalog order."""
+    m = len(seed.edges)
+    if rank == 1:
+        assignments = [{j: (1,)} for j in range(m)]
+        if two_link:
+            assignments += [{j: (1,), k: (s,)} for j in range(m)
+                            for k in range(j + 1, m) for s in (1, -1)]
+        for assignment in assignments:
+            offs = _offsets_for(m, assignment, 1)
+            try:
+                P = PeriodicGraph(seed, 1, offs, name=seed.name)
+            except BadInput:
+                continue
+            yield offs, None, P, N
+        return
+    N2 = max(32, N // 4)
+    if N2 % 2:
+        N2 += 1
+    for j in range(m):
+        for k in range(j + 1, m):
+            offs = _offsets_for(m, {j: (1, 0), k: (0, 1)}, 2)
+            try:
+                P2 = PeriodicGraph(seed, 2, offs, name=seed.name)
+            except BadInput:
+                continue
+            yield offs, None, P2, N2
+            for a, b in SUBTORUS_DIRECTIONS:
+                yield offs, (a, b), restrict_subtorus(P2, a, b), N
+
+
+def iter_search_covers(seeds, rank: int = 2, two_link: bool = True,
+                       N: int = 256):
+    """Sweep the seeds and yield the deduplicated CatalogEntry rows one
+    at a time, in catalog order.
 
     rank=1: every single-edge redirect, plus every edge pair with
     relative signs (+,+) and (+,-) when two_link is set.  rank=2: every
     edge pair spans the torus, reported whole (on a reduced grid) and
-    sliced along each coprime direction at the full grid N.
+    sliced along each coprime direction at the full grid N.  A row's
+    quotient planarity is decided only once the row is kept.
     """
     if rank not in (1, 2):
         raise BadInput("rank must be 1 or 2")
     if N < 16 or N % 2:
         raise BadInput("grid size must be even and at least 16")
-    entries = []
     seen = set()
-
-    def consider(base, offsets, subtorus, cover, B):
-        report = gap_report(B)
-        key = _dedup_key(base.n, report)
-        if key in seen:
-            return
-        seen.add(key)
-        entries.append(CatalogEntry(
-            entry_id=_entry_id(base, offsets, subtorus),
-            cover=cover, base=base, offsets=tuple(offsets),
-            subtorus=subtorus, report=report,
-            planar_quotients=_planar_quotients(cover)))
-
     for seed in seeds:
         seed.require_cubic("cover search seed")
         if seed.n > 12:
             raise BadInput("seeds must have at most 12 vertices")
-        m = len(seed.edges)
-        if rank == 1:
-            for j in range(m):
-                offs = _offsets_for(m, {j: (1,)}, 1)
-                try:
-                    P = PeriodicGraph(seed, 1, offs, name=seed.name)
-                except BadInput:
-                    continue
-                consider(seed, offs, None, P, bands(P, N))
-            if two_link:
-                for j in range(m):
-                    for k in range(j + 1, m):
-                        for s in (1, -1):
-                            offs = _offsets_for(m, {j: (1,), k: (s,)}, 1)
-                            try:
-                                P = PeriodicGraph(seed, 1, offs, name=seed.name)
-                            except BadInput:
-                                continue
-                            consider(seed, offs, None, P, bands(P, N))
-            continue
-        N2 = max(32, N // 4)
-        if N2 % 2:
-            N2 += 1
-        for j in range(m):
-            for k in range(j + 1, m):
-                offs = _offsets_for(m, {j: (1, 0), k: (0, 1)}, 2)
-                try:
-                    P2 = PeriodicGraph(seed, 2, offs, name=seed.name)
-                except BadInput:
-                    continue
-                consider(seed, offs, None, P2, bands(P2, N2))
-                for a, b in SUBTORUS_DIRECTIONS:
-                    P1 = restrict_subtorus(P2, a, b)
-                    consider(seed, offs, (a, b), P1, bands(P1, N))
-    return entries
+        for offs, subtorus, cover, grid in _candidates(seed, rank, two_link, N):
+            report = gap_report(bands(cover, grid))
+            key = _dedup_key(seed.n, report)
+            if key in seen:
+                continue
+            seen.add(key)
+            yield CatalogEntry(
+                entry_id=_entry_id(seed, offs, subtorus),
+                cover=cover, base=seed, offsets=tuple(offs),
+                subtorus=subtorus, report=report,
+                planar_quotients=_planar_quotients(cover))
+
+
+def search_covers(seeds, rank: int = 2, two_link: bool = True,
+                  N: int = 256) -> list:
+    """All rows of `iter_search_covers` as a list."""
+    return list(iter_search_covers(seeds, rank=rank, two_link=two_link, N=N))
 
 
 def coverage_report(entries, lo: float, hi: float, resolution: float = 0.01) -> dict:

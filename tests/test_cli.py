@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 
 import pytest
 
+from cubicgaps import cli
 from cubicgaps.certifier import verify_certificate
 from cubicgaps.cli import default_catalog_path, fixture_path, main
 from cubicgaps.graphcore import Multigraph
@@ -137,6 +139,40 @@ class TestSearch:
             (tmp_path / "b" / "catalog.jsonl").read_bytes()
         assert (tmp_path / "a" / "search_report.json").read_bytes() == \
             (tmp_path / "b" / "search_report.json").read_bytes()
+
+    def test_default_seed_outputs_are_pinned(self, tmp_path):
+        # the 4-vertex seeds share two band pictures across seeds, so
+        # these digests also pin the cross-seed dedup
+        assert run("search", "--rank", 2, "--grid", 64,
+                   "--out", tmp_path) == 0
+        digests = {name: hashlib.sha256(
+            (tmp_path / name).read_bytes()).hexdigest()
+            for name in ("catalog.jsonl", "search_report.json")}
+        assert digests == {
+            "catalog.jsonl": "0291907e8b380603453c1409b3113e02"
+                             "1054bef18114685263418614860b7f28",
+            "search_report.json": "a08e047030d333bc3d92201c3dad978d"
+                                  "1e3ff455f4937a154a8d0b42c5948418",
+        }
+
+    def test_interrupt_keeps_flushed_rows(self, tmp_path, monkeypatch):
+        catalog = tmp_path / "catalog.jsonl"
+        search = cli.iter_search_covers
+        on_disk = []
+
+        def one_row_then_interrupt(*args, **kwargs):
+            yield next(search(*args, **kwargs))
+            # the command asks for row 2 only after row 1 is on disk
+            on_disk.append(catalog.read_text())
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "iter_search_covers", one_row_then_interrupt)
+        assert run("search", "--rank", 1, "--grid", 32,
+                   "--out", tmp_path) == 130
+        assert len(on_disk) == 1 and len(on_disk[0].splitlines()) == 1
+        assert catalog.read_text() == on_disk[0]
+        report = json.loads((tmp_path / "search_report.json").read_text())
+        assert report["partial"] is True and report["entries"] == 1
 
 
 class TestQuotient:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cubicgaps.cli import default_catalog_path
 from cubicgaps.covers import (SUBTORUS_DIRECTIONS, CatalogEntry, bands,
                               catalog_hash, coverage_report, cyclic_quotient,
                               entry_cover, load_catalog, save_catalog,
@@ -182,6 +183,27 @@ class TestPlanarSearch:
         from cubicgaps.graphcore import is_planar
         assert bool(is_planar(cyclic_quotient(P, 6)))
         assert checks["required"]["covered"] is True
+
+    def test_search_never_builds_a_kuratowski_witness(self, monkeypatch):
+        import networkx.algorithms.planarity as nxp
+
+        def refuse(H):
+            raise AssertionError("the search built a Kuratowski witness")
+
+        monkeypatch.setattr(nxp, "get_counterexample", refuse)
+        entries = search_covers(enumerate_cubic_multigraphs(4), N=64)
+        # a rank-1 row whose quotients are not all planar met a
+        # non-planar quotient without reading its witness
+        assert any(e.cover.rank == 1 and not e.planar_quotients
+                   for e in entries)
+
+    def test_regenerated_catalog_is_byte_identical(self, tmp_path):
+        seeds = (list(enumerate_cubic_multigraphs(4))
+                 + list(enumerate_cubic_multigraphs(6)))
+        entries, _ = search_planar_covers(seeds, N=256)
+        save_catalog(entries, tmp_path / "catalog.jsonl")
+        assert (tmp_path / "catalog.jsonl").read_bytes() == \
+            default_catalog_path().read_bytes()
 
     def test_coverage_report_reach(self):
         entries, checks = search_planar_covers(enumerate_cubic_multigraphs(4),
