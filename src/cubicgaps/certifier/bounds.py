@@ -46,6 +46,7 @@ import numpy as np
 from ..errors import BadInput, NumericalFailure
 from ..graphcore.multigraph import (Multigraph, _bfs as _graph_bfs,
                                     diameter_and_geodesic, spectrum)
+from .exact import _int_matmul
 
 __all__ = [
     "DecompositionFailure",
@@ -710,8 +711,15 @@ def fekete_finiteness(X: Multigraph, F) -> dict:
     If the diameter reaches |F|, a pair at distance |F| gives a nonzero
     entry of P(A) = prod(A - c*I) by path counting (all lower powers
     vanish there), so containment is impossible.  Otherwise P(A) is
-    expanded in exact rational arithmetic and tested against zero, which
-    for a symmetric (hence diagonalizable) matrix decides containment.
+    tested against zero, which for a symmetric (hence diagonalizable)
+    matrix decides containment.  Each c = p/q enters as the integer
+    factor q*A - p*I, and P(A) is expanded over Python ints one row at
+    a time, stopping at the first row with a nonzero entry; the witness
+    is that row-major first entry of P(A), as a Fraction string.
+
+    Every c is read as an exact Fraction, a float as its exact dyadic
+    value, so an irrational target such as Heawood's +-sqrt(2) never
+    matches an eigenvalue and the verdict is SpectrumNotContained.
     """
     values = sorted({Fraction(c) for c in F})
     if not values:
@@ -739,21 +747,21 @@ def fekete_finiteness(X: Multigraph, F) -> dict:
         return {"verdict": "SpectrumNotContained",
                 "witness": {"x0": x0, "y0": y0, "distance": k,
                             "path_count": count}}
-    Aq = [[Fraction(x) for x in row] for row in _int_adjacency(X)]
+    A = _int_adjacency(X)
     n = X.n
-    prod = [[Fraction(1 if i == j else 0) for j in range(n)]
-            for i in range(n)]
-    for c in values:
-        shifted = [[Aq[i][j] - (c if i == j else 0) for j in range(n)]
-                   for i in range(n)]
-        prod = [[sum(prod[i][l] * shifted[l][j] for l in range(n))
-                 for j in range(n)] for i in range(n)]
+    # columns of q*A - p*I, one factor per value, in ascending order
+    factors = [[[c.denominator * A[i][j] - (c.numerator if i == j else 0)
+                 for i in range(n)] for j in range(n)] for c in values]
+    scale = math.prod(c.denominator for c in values)
     for i in range(n):
-        for j in range(n):
-            if prod[i][j] != 0:
-                return {"verdict": "SpectrumNotContained",
-                        "witness": {"entry": (i, j),
-                                    "value": str(prod[i][j])}}
+        row = [[int(i == j) for j in range(n)]]
+        for cols in factors:
+            row = _int_matmul(row, cols)
+        j = next((j for j, x in enumerate(row[0]) if x), None)
+        if j is not None:
+            return {"verdict": "SpectrumNotContained",
+                    "witness": {"entry": (i, j),
+                                "value": str(Fraction(row[0][j], scale))}}
     return {"verdict": "Contained", "witness": None}
 
 

@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals and real quadratic fields.
 
-Everything here works in Fraction arithmetic (or pairs of Fractions
-p + q*sqrt(d)), so results are certificates rather than approximations:
-characteristic polynomials via Faddeev-LeVerrier, kernels via fraction
-row echelon scaled back to primitive integer vectors, and spectra split
-into rational roots plus integer quadratic factors x^2 - s*x + p.
+Results are certificates rather than approximations.  The rational
+side runs on Python integers: a rational matrix is first scaled by the
+lcm of its denominators, characteristic polynomials come from the
+Faddeev-LeVerrier recursion on integer rows, ranks and kernels from a
+fraction-free Gauss-Jordan elimination that keeps every row primitive,
+and spectra split into rational roots plus integer quadratic factors
+x^2 - s*x + p.  Values cross the public boundary as Fractions.  Only
+elimination over Q(sqrt(d)) works on pairs of Fractions p + q*sqrt(d).
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from ..errors import BadInput
 
@@ -59,36 +63,47 @@ class QuadExt:
         return [self.a, self.b, self.d]
 
 
-def _as_fraction_rows(A):
-    return [[Fraction(x) for x in row] for row in A]
+def _scaled_int_rows(A):
+    """(D, rows): the lcm D of the entries' denominators and the rows
+    of D*A as Python ints."""
+    M = [[x if isinstance(x, int) else Fraction(x) for x in row]
+         for row in A]
+    D = math.lcm(*(x.denominator for row in M for x in row))
+    return D, [[x.numerator * (D // x.denominator) for x in row]
+               for row in M]
+
+
+def _int_matmul(X, cols) -> list:
+    """X @ Y over Python ints, for X given by its rows and Y by its
+    columns."""
+    return [[sum(map(mul, row, col)) for col in cols] for row in X]
 
 
 def char_poly(A) -> list:
-    """Monic characteristic polynomial det(xI - A), coefficients from
-    the constant term up, computed by the Faddeev-LeVerrier recursion in
-    exact arithmetic."""
-    M = _as_fraction_rows(A)
+    """Monic characteristic polynomial det(xI - A), coefficients (as
+    Fractions) from the constant term up.
+
+    The Faddeev-LeVerrier recursion runs on the integer matrix D*A, D
+    the lcm of the entries' denominators; its coefficients are integers,
+    so each step c_k = -tr(N_k)/k is an exact integer division, and the
+    coefficient of x^(n-k) is c_k / D^k.
+    """
+    D, M = _scaled_int_rows(A)
     n = len(M)
     if any(len(row) != n for row in M):
         raise BadInput("matrix must be square")
-    coeffs = [Fraction(1)] * (n + 1)  # placeholder; filled below
-    B = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        B[i][i] = Fraction(1)
-    c = [Fraction(1)]
-    N = B
+    cols = [list(col) for col in zip(*M)]
+    # N is a polynomial in M, so N @ M == M @ N
+    N = [[int(i == j) for j in range(n)] for i in range(n)]
+    c = [1]
     for k in range(1, n + 1):
-        # N <- A @ N
-        N = [[sum(M[i][l] * N[l][j] for l in range(n)) for j in range(n)]
-             for i in range(n)]
-        tr = sum(N[i][i] for i in range(n))
-        ck = -tr / k
+        N = _int_matmul(N, cols)
+        ck = -sum(N[i][i] for i in range(n)) // k
         c.append(ck)
         for i in range(n):
             N[i][i] += ck
     # c[k] is the coefficient of x^{n-k}
-    coeffs = list(reversed(c))
-    return coeffs
+    return [Fraction(c[k], D ** k) for k in range(n, -1, -1)]
 
 
 def eval_poly(coeffs, x):
@@ -98,20 +113,35 @@ def eval_poly(coeffs, x):
     return acc
 
 
-def _deflate(coeffs, root: Fraction) -> list:
+def _integral(coeffs) -> list:
+    """The coefficients as ints when all are integers, else as
+    Fractions."""
+    work = [Fraction(c) for c in coeffs]
+    if all(c.denominator == 1 for c in work):
+        return [c.numerator for c in work]
+    return work
+
+
+def _deflate(coeffs, root) -> list:
     """Divide by (x - root) by synthetic division; root must be exact."""
     n = len(coeffs) - 1
-    out = [Fraction(0)] * n
+    out = [0] * n
     out[n - 1] = coeffs[n]
     for k in range(n - 1, 0, -1):
         out[k - 1] = coeffs[k] + root * out[k]
     return out
 
 
+def _divisors(m: int) -> list:
+    """Positive divisors of m > 0 in ascending order."""
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    return small + [m // d for d in reversed(small) if d * d != m]
+
+
 def rational_roots(coeffs) -> list:
     """All rational roots with multiplicity, plus the deflated cofactor.
     Returns (roots, remainder_coeffs)."""
-    work = [Fraction(c) for c in coeffs]
+    work = _integral(coeffs)
     if work[-1] != 1:
         raise BadInput("polynomial must be monic")
     roots = []
@@ -121,26 +151,16 @@ def rational_roots(coeffs) -> list:
             roots.append(Fraction(0))
             work = work[1:]
             continue
-        num = abs(const.numerator)
-        den = const.denominator
-        if den != 1:
+        if const.denominator != 1:
             # monic with integer matrix input keeps integer coefficients
-            candidates = []
-        else:
-            divisors = [d for d in range(1, num + 1) if num % d == 0]
-            candidates = []
-            for d in divisors:
-                candidates.extend([Fraction(d), Fraction(-d)])
-        hit = None
-        for cand in candidates:
-            if eval_poly(work, cand) == 0:
-                hit = cand
-                break
+            break
+        hit = next((cand for d in _divisors(abs(const.numerator))
+                    for cand in (d, -d) if eval_poly(work, cand) == 0), None)
         if hit is None:
             break
-        roots.append(hit)
+        roots.append(Fraction(hit))
         work = _deflate(work, hit)
-    return roots, work
+    return roots, [Fraction(c) for c in work]
 
 
 def quadratic_factors(coeffs) -> list:
@@ -148,7 +168,7 @@ def quadratic_factors(coeffs) -> list:
     x^2 - s*x + p pieces.  Returns (factors, leftover) where each factor
     is the integer pair (s, p); leftover is what resisted (degree 0 when
     fully factored)."""
-    work = [Fraction(c) for c in coeffs]
+    work = _integral(coeffs)
     factors = []
     progressed = True
     while len(work) > 3 and progressed:
@@ -169,16 +189,16 @@ def quadratic_factors(coeffs) -> list:
         p = work[0]
         if s.denominator == 1 and p.denominator == 1:
             factors.append((int(s), int(p)))
-            work = [Fraction(1)]
-    return factors, work
+            work = [1]
+    return factors, [Fraction(c) for c in work]
 
 
 def _divide_quadratic(coeffs, s: int, p: int):
     """coeffs = q * (x^2 - s x + p) + r1 x + r0 (exact)."""
     n = len(coeffs) - 1
     if n < 2:
-        return [], coeffs[1] if n >= 1 else Fraction(0), coeffs[0]
-    q = [Fraction(0)] * (n - 1)
+        return [], coeffs[1] if n >= 1 else 0, coeffs[0]
+    q = [0] * (n - 1)
     rem = list(coeffs)
     for k in range(n - 2, -1, -1):
         q[k] = rem[k + 2]
@@ -219,10 +239,9 @@ def split_spectrum(A):
     return sorted(counted.items(), key=lambda kv: float(kv[0]))
 
 
-def is_char_root(A, value) -> bool:
-    """Whether value (Fraction-like or QuadExt) is an exact eigenvalue
-    of the integer matrix A, by evaluating det(xI - A) at it."""
-    coeffs = char_poly(A)
+def _is_poly_root(coeffs, value) -> bool:
+    """Whether value (Fraction-like or QuadExt) is a root of the
+    polynomial with the given coefficients (constant term first)."""
     if isinstance(value, QuadExt):
         F = _QF(value.d)
         x = value.as_pair()
@@ -231,6 +250,12 @@ def is_char_root(A, value) -> bool:
             acc = F.add(F.mul(acc, x), (c, Fraction(0)))
         return F.is_zero(acc)
     return eval_poly(coeffs, Fraction(value)) == 0
+
+
+def is_char_root(A, value) -> bool:
+    """Whether value (Fraction-like or QuadExt) is an exact eigenvalue
+    of the integer matrix A, by evaluating det(xI - A) at it."""
+    return _is_poly_root(char_poly(A), value)
 
 
 def _squarefree(m: int) -> int:
@@ -275,36 +300,65 @@ class _QF:
         return x[0] == 0 and x[1] == 0
 
 
-def _echelon(rows, field=None):
-    """Row echelon in place over Fractions (field None) or a _QF field.
+def _int_echelon(rows):
+    """Fraction-free Gauss-Jordan elimination, in place, on integer rows.
+
+    Each pivot row is divided by its content and made positive at its
+    pivot, and every other row is cleared in that column by a
+    cross-multiplication and then divided by its content, so the
+    entries stay small.  The first `rank` rows end up as the reduced
+    echelon form with each row scaled to a primitive integer row.
+    Returns (rank, pivot_columns).
+    """
+    if not rows:
+        return 0, []
+    m, n = len(rows), len(rows[0])
+    rank = 0
+    pivots = []
+    for col in range(n):
+        pivot = next((r for r in range(rank, m) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = rows[rank]
+        g = math.gcd(*prow)
+        if prow[col] < 0:
+            g = -g
+        prow = rows[rank] = [x // g for x in prow]
+        pv = prow[col]
+        for r in range(m):
+            f = rows[r][col]
+            if r != rank and f:
+                row = [pv * x - f * y for x, y in zip(rows[r], prow)]
+                g = math.gcd(*row)
+                rows[r] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
+        rank += 1
+        if rank == m:
+            break
+    return rank, pivots
+
+
+def _echelon(rows, field):
+    """Row echelon in place over the _QF field.
     Returns (rank, pivot_columns)."""
     if not rows:
         return 0, []
     m, n = len(rows), len(rows[0])
-    if field is None:
-        is_zero = lambda x: x == 0
-        div = lambda x, y: x / y
-        mul = lambda x, y: x * y
-        sub = lambda x, y: x - y
-    else:
-        is_zero = field.is_zero
-        div = field.div
-        mul = field.mul
-        sub = field.sub
     rank = 0
     pivots = []
     for col in range(n):
         pivot = next((r for r in range(rank, m)
-                      if not is_zero(rows[r][col])), None)
+                      if not field.is_zero(rows[r][col])), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         pv = rows[rank][col]
-        rows[rank] = [div(x, pv) for x in rows[rank]]
+        rows[rank] = [field.div(x, pv) for x in rows[rank]]
         for r in range(m):
-            if r != rank and not is_zero(rows[r][col]):
+            if r != rank and not field.is_zero(rows[r][col]):
                 f = rows[r][col]
-                rows[r] = [sub(x, mul(f, y))
+                rows[r] = [field.sub(x, field.mul(f, y))
                            for x, y in zip(rows[r], rows[rank])]
         pivots.append(col)
         rank += 1
@@ -315,8 +369,8 @@ def _echelon(rows, field=None):
 
 def rank_over_field(A, d: int | None = None) -> int:
     if d is None:
-        rows = _as_fraction_rows(A)
-        rank, _ = _echelon(rows)
+        _, rows = _scaled_int_rows(A)
+        rank, _ = _int_echelon(rows)
     else:
         rows = [[x if isinstance(x, tuple) else (Fraction(x), Fraction(0))
                  for x in row] for row in A]
@@ -324,15 +378,10 @@ def rank_over_field(A, d: int | None = None) -> int:
     return rank
 
 
-def _primitive(vec) -> tuple:
-    """Scale a rational vector to coprime integers with positive lead."""
-    den = 1
-    for x in vec:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
+def _primitive(ints) -> tuple:
+    """Divide an integer vector by its content and make its lead
+    positive."""
+    g = math.gcd(*ints)
     if g:
         ints = [x // g for x in ints]
     lead = next((x for x in ints if x != 0), 0)
@@ -343,18 +392,21 @@ def _primitive(vec) -> tuple:
 
 def rational_kernel(A) -> list:
     """Kernel basis of a rational matrix as primitive integer vectors."""
-    rows = _as_fraction_rows(A)
+    _, rows = _scaled_int_rows(A)
     if not rows:
         return []
     n = len(rows[0])
-    rank, pivots = _echelon(rows)
-    free = [c for c in range(n) if c not in pivots]
+    rank, pivots = _int_echelon(rows)
+    # row r reads pv_r * x[pivots[r]] + sum over free columns = 0, so
+    # scaling the free unit vector by the lcm L of the pivots keeps the
+    # pivot entries integral
+    L = math.lcm(*(rows[r][pc] for r, pc in enumerate(pivots)))
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[fc] = L
         for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+            v[pc] = -rows[r][fc] * (L // rows[r][pc])
         basis.append(_primitive(v))
     return basis
 

@@ -35,7 +35,8 @@ from ..covers.periodic import (
 )
 from .exact import (
     QuadExt,
-    is_char_root,
+    _is_poly_root,
+    char_poly,
     rational_kernel,
     rank_over_field,
     split_spectrum,
@@ -438,8 +439,8 @@ def verify_certificate(doc: dict) -> GapCertificate:
             raise RefusedCertificate("eigenpair with irrational lambda",
                                      failing_index=None)
     _check_claimed(A, claimed)
-    A0 = _integer_touch_matrix(P, 0.0)
-    Api = _integer_touch_matrix(P, math.pi)
+    touch_polys = [char_poly(_integer_touch_matrix(P, t))
+                   for t in (0.0, math.pi)]
     gaps = []
     for blob in doc["gaps"]:
         lo, hi = (decode_exact(x) for x in blob)
@@ -450,7 +451,7 @@ def verify_certificate(doc: dict) -> GapCertificate:
             fv = float(v)
             if abs(fv) == 3.0 and not isinstance(v, QuadExt):
                 continue
-            if not (is_char_root(A0, v) or is_char_root(Api, v)):
+            if not any(_is_poly_root(cp, v) for cp in touch_polys):
                 raise RefusedCertificate(
                     f"gap endpoint {fv:.9f} is not an exact touch-angle "
                     "eigenvalue", failing_index=None)

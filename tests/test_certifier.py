@@ -9,6 +9,7 @@ from cubicgaps.certifier import (GapCertificate, certify_touchpoint,
                                  locate_touch_angle, verify_band_extremum,
                                  verify_certificate,
                                  verify_transpose_symmetry)
+from cubicgaps.certifier import touchpoint
 from cubicgaps.certifier.exact import QuadExt
 from cubicgaps.covers.reference import doubled_cycle_cover, prism_band_cover
 from cubicgaps.errors import BadInput, RefusedCertificate
@@ -132,6 +133,17 @@ class TestSerialization:
         assert back.gap == cert.gap
         assert back.gaps == cert.gaps
         assert back.eigenpairs == cert.eigenpairs
+
+    def test_touch_polynomials_computed_once(self, wa_cert, monkeypatch):
+        # six gap endpoints are tested against one characteristic
+        # polynomial per touch angle
+        _, _, cert = wa_cert
+        calls = []
+        real = touchpoint.char_poly
+        monkeypatch.setattr(touchpoint, "char_poly",
+                            lambda A: calls.append(A) or real(A))
+        verify_certificate(json.loads(json.dumps(cert.to_json())))
+        assert len(calls) == 2
 
     def test_rejects_non_certificate(self):
         with pytest.raises(BadInput):

@@ -199,6 +199,17 @@ class TestCertify:
         doc = json.loads((tmp_path / "certificate.json").read_text())
         assert doc["touch_angle"] == "0"
 
+    @pytest.mark.parametrize("argv,digest", [
+        (("--target", "(-1,1)"),
+         "649b957b7d8c607804e6ff86ad0292aaefd8448b5e23e6d1fd2654594aa14c55"),
+        (("--target", "(-2,0)", "--exact"),
+         "560532f7c045241c6791db8fa122bc1210362b77e1c3183b17872cdb87bb9784"),
+    ])
+    def test_certificate_bytes_are_pinned(self, tmp_path, argv, digest):
+        assert run("certify", *argv, "--out", tmp_path) == 0
+        got = hashlib.sha256((tmp_path / "certificate.json").read_bytes())
+        assert got.hexdigest() == digest
+
     def test_unachievable_target_refused(self, tmp_path):
         assert run("certify", "--target", "(-2.5,0.5)",
                    "--out", tmp_path) == 2
