@@ -167,14 +167,19 @@ def quadratic_factors(coeffs) -> list:
     """Factor a monic integer polynomial with all roots in [-3, 3] into
     x^2 - s*x + p pieces.  Returns (factors, leftover) where each factor
     is the integer pair (s, p); leftover is what resisted (degree 0 when
-    fully factored)."""
+    fully factored).  On an integer polynomial with a nonzero constant
+    term only the p dividing that term are tried, since an exact
+    division by a monic integer quadratic leaves an integer quotient."""
     work = _integral(coeffs)
     factors = []
     progressed = True
     while len(work) > 3 and progressed:
         progressed = False
+        ps = range(-9, 10)
+        if isinstance(work[0], int) and work[0]:
+            ps = [p for p in ps if p and work[0] % p == 0]
         for s in range(-6, 7):
-            for p in range(-9, 10):
+            for p in ps:
                 # synthetic division by x^2 - s x + p
                 q, r1, r0 = _divide_quadratic(work, s, p)
                 if r1 == 0 and r0 == 0:

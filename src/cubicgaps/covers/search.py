@@ -12,6 +12,17 @@ band structures [-3,-1] u [1,3] and [-(1+sqrt17)/2,-2] u
 Catalog rows are JSON lines with deterministic content ids; duplicate
 band pictures (same spectrum, gaps and flat bands after rounding) are
 collapsed, keeping the first in (seed, edge indices, direction) order.
+The dedup key reads a sampled interval whose ends agree after rounding
+as a point, so solver noise of about 1e-15, which decides whether
+`gap_report` stores an isolated eigenvalue as a point or as a tiny
+interval, cannot split one picture into two rows.
+
+A seed automorphism carries each choice of redirected edges onto
+another choice whose cover is the same periodic graph up to relabelling
+(Gross & Tucker, voltage graphs), so its band pictures add nothing new.
+Each seed's choices are therefore tried once per automorphism orbit, at
+the orbit's first member in catalog order, which keeps every row and
+its id as the full sweep would have them.
 """
 
 from __future__ import annotations
@@ -99,11 +110,20 @@ def _entry_id(base: Multigraph, offsets, subtorus) -> str:
 
 
 def _dedup_key(base_n: int, report: GapReport):
+    """Rounded band picture; an interval of rounded width 0 is a point."""
     est = report.spectrum_estimate
+    intervals = []
+    points = {round(p, _ROUND) for p in est.points}
+    for a, b in est.intervals:
+        a, b = round(a, _ROUND), round(b, _ROUND)
+        if a == b:
+            points.add(a)
+        else:
+            intervals.append((a, b))
     return (
         base_n,
-        tuple((round(a, _ROUND), round(b, _ROUND)) for a, b in est.intervals),
-        tuple(round(p, _ROUND) for p in est.points),
+        tuple(intervals),
+        tuple(sorted(points)),
         tuple((round(v, _ROUND), m) for v, m in report.flat_bands),
     )
 
@@ -120,16 +140,67 @@ def _offsets_for(m: int, assignment: dict, rank: int):
     return tuple(assignment.get(j, zero) for j in range(m))
 
 
+def _automorphisms(G: Multigraph):
+    """Every vertex permutation of G that keeps its edge multiset."""
+    import networkx as nx
+    from networkx.algorithms.isomorphism import MultiGraphMatcher
+    H = nx.MultiGraph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from(G.edges)
+    for iso in MultiGraphMatcher(H, H).isomorphisms_iter():
+        yield tuple(iso[v] for v in range(G.n))
+
+
+def _orbit_firsts(seed: Multigraph, choices):
+    """The choices, in the given order, that come first in their orbit
+    under the automorphisms of seed.
+
+    A choice is (edges, sign): a tuple of edge indices, and the sign of
+    the second edge's offset relative to the first's, or None when the
+    sign does not matter.  Parallel edges form one class and any member
+    stands for it.  An automorphism sends edge (u, v) to the class of
+    (p[u], p[v]) and flips its offset when p[u] > p[v]; a loop's offset
+    can take either sign, so a loop makes both relative signs reachable.
+    """
+    cls = {e: seed.edges.index(e) for e in seed.edges}
+    maps = []
+    for p in _automorphisms(seed):
+        image, flip = {}, {}
+        for u, v in seed.edges:
+            a, b = p[u], p[v]
+            image[cls[(u, v)]] = cls[(min(a, b), max(a, b))]
+            flip[cls[(u, v)]] = 0 if a == b else (1 if a < b else -1)
+        maps.append((image, flip))
+    seen = set()
+    for choice in choices:
+        edges, sign = choice
+        classes = tuple(sorted(cls[seed.edges[j]] for j in edges))
+        if (classes, sign) in seen:
+            continue
+        yield choice
+        for image, flip in maps:
+            moved = tuple(sorted(image[c] for c in classes))
+            if sign is None:
+                seen.add((moved, None))
+                continue
+            eps = math.prod(flip[c] for c in classes)
+            signs = (sign * eps,) if eps else (1, -1)
+            seen.update((moved, t) for t in signs)
+
+
 def _candidates(seed: Multigraph, rank: int, two_link: bool, N: int):
-    """(offsets, subtorus, cover, grid) for every cover of one seed, in
-    catalog order."""
+    """(offsets, subtorus, cover, grid) for the covers of one seed, in
+    catalog order, one edge choice per automorphism orbit."""
     m = len(seed.edges)
     if rank == 1:
-        assignments = [{j: (1,)} for j in range(m)]
+        choices = [((j,), None) for j in range(m)]
         if two_link:
-            assignments += [{j: (1,), k: (s,)} for j in range(m)
-                            for k in range(j + 1, m) for s in (1, -1)]
-        for assignment in assignments:
+            choices += [((j, k), s) for j in range(m)
+                        for k in range(j + 1, m) for s in (1, -1)]
+        for edges, s in _orbit_firsts(seed, choices):
+            assignment = {edges[0]: (1,)}
+            if s is not None:
+                assignment[edges[1]] = (s,)
             offs = _offsets_for(m, assignment, 1)
             try:
                 P = PeriodicGraph(seed, 1, offs, name=seed.name)
@@ -140,16 +211,16 @@ def _candidates(seed: Multigraph, rank: int, two_link: bool, N: int):
     N2 = max(32, N // 4)
     if N2 % 2:
         N2 += 1
-    for j in range(m):
-        for k in range(j + 1, m):
-            offs = _offsets_for(m, {j: (1, 0), k: (0, 1)}, 2)
-            try:
-                P2 = PeriodicGraph(seed, 2, offs, name=seed.name)
-            except BadInput:
-                continue
-            yield offs, None, P2, N2
-            for a, b in SUBTORUS_DIRECTIONS:
-                yield offs, (a, b), restrict_subtorus(P2, a, b), N
+    pairs = [((j, k), None) for j in range(m) for k in range(j + 1, m)]
+    for (j, k), _ in _orbit_firsts(seed, pairs):
+        offs = _offsets_for(m, {j: (1, 0), k: (0, 1)}, 2)
+        try:
+            P2 = PeriodicGraph(seed, 2, offs, name=seed.name)
+        except BadInput:
+            continue
+        yield offs, None, P2, N2
+        for a, b in SUBTORUS_DIRECTIONS:
+            yield offs, (a, b), restrict_subtorus(P2, a, b), N
 
 
 def iter_search_covers(seeds, rank: int = 2, two_link: bool = True,
@@ -160,8 +231,12 @@ def iter_search_covers(seeds, rank: int = 2, two_link: bool = True,
     rank=1: every single-edge redirect, plus every edge pair with
     relative signs (+,+) and (+,-) when two_link is set.  rank=2: every
     edge pair spans the torus, reported whole (on a reduced grid) and
-    sliced along each coprime direction at the full grid N.  A row's
-    quotient planarity is decided only once the row is kept.
+    sliced along each coprime direction at the full grid N.  Only the
+    first edge choice of each seed-automorphism orbit is tried; the
+    others give relabelled copies of covers already seen.  A row is
+    dropped when its band picture, rounded to 6 digits with zero-width
+    intervals read as points, was seen before.  A row's quotient
+    planarity is decided only once the row is kept.
     """
     if rank not in (1, 2):
         raise BadInput("rank must be 1 or 2")

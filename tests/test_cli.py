@@ -142,17 +142,19 @@ class TestSearch:
 
     def test_default_seed_outputs_are_pinned(self, tmp_path):
         # the 4-vertex seeds share two band pictures across seeds, so
-        # these digests also pin the cross-seed dedup
+        # these digests also pin the cross-seed dedup; they also pin the
+        # automorphism-orbit skip and the point-normalised dedup key
+        # (83 rows, 13 planar)
         assert run("search", "--rank", 2, "--grid", 64,
                    "--out", tmp_path) == 0
         digests = {name: hashlib.sha256(
             (tmp_path / name).read_bytes()).hexdigest()
             for name in ("catalog.jsonl", "search_report.json")}
         assert digests == {
-            "catalog.jsonl": "0291907e8b380603453c1409b3113e02"
-                             "1054bef18114685263418614860b7f28",
-            "search_report.json": "a08e047030d333bc3d92201c3dad978d"
-                                  "1e3ff455f4937a154a8d0b42c5948418",
+            "catalog.jsonl": "80de20c71d128976afb975dd617b8b33"
+                             "32f4cd3db05b9f85c34904c633381c42",
+            "search_report.json": "9bd83a98ab510d64c5bdea97b20b0bed"
+                                  "55c987c9c8bc467e058c7d1ea6c68aba",
         }
 
     def test_interrupt_keeps_flushed_rows(self, tmp_path, monkeypatch):

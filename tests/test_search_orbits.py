@@ -1,0 +1,152 @@
+"""The automorphism-orbit skip of the cover search and its dedup key.
+
+The skip must not change a single catalog byte: every row of
+`iter_search_covers` matches the unskipped sweep in `search_oracle.py`.
+"""
+
+import itertools
+import json
+
+import pytest
+import search_oracle
+from search_oracle import brute_orbit_firsts, oracle_search_covers
+
+from cubicgaps.covers import bands, gap_report, iter_search_covers, search
+from cubicgaps.covers.periodic import GapReport
+from cubicgaps.covers.quotients import is_automorphism
+from cubicgaps.covers.search import (_automorphisms, _dedup_key, _orbit_firsts,
+                                     _planar_quotients)
+from cubicgaps.dynamics.intervals import IntervalSet
+from cubicgaps.graphcore import Multigraph, enumerate_cubic_multigraphs
+
+SMALL_CELLS = [G for n in (2, 4, 6) for G in enumerate_cubic_multigraphs(n)]
+
+
+def _rows(entries):
+    return [json.dumps(e.to_json(), sort_keys=True, separators=(",", ":"))
+            for e in entries]
+
+
+def _choices(m):
+    singles = [((j,), None) for j in range(m)]
+    pairs = [((j, k), None) for j in range(m) for k in range(j + 1, m)]
+    signed = [((j, k), s) for j in range(m) for k in range(j + 1, m)
+              for s in (1, -1)]
+    return singles, pairs, signed
+
+
+class TestOrbitHelper:
+    def test_cells_include_loops_and_multi_edges(self):
+        assert any(G.has_loops for G in SMALL_CELLS)
+        assert any(G.has_multi for G in SMALL_CELLS)
+
+    @pytest.mark.parametrize("G", SMALL_CELLS, ids=lambda G: G.name or "cell")
+    def test_automorphisms_match_all_permutations(self, G):
+        brute = {p for p in itertools.permutations(range(G.n))
+                 if is_automorphism(G, p)}
+        got = list(_automorphisms(G))
+        assert len(got) == len(set(got))
+        assert set(got) == brute
+
+    @pytest.mark.parametrize("G", SMALL_CELLS, ids=lambda G: G.name or "cell")
+    def test_orbit_firsts_match_brute_force(self, G):
+        for choices in _choices(len(G.edges)):
+            assert list(_orbit_firsts(G, choices)) == \
+                brute_orbit_firsts(G, choices)
+
+    def test_loop_reaches_both_signs(self):
+        # reversing the loop and conjugating turns (loop +1, edge -1)
+        # into (loop +1, edge +1), so the second sign is skipped
+        G = Multigraph(4, [(0, 0), (0, 1), (1, 2), (1, 3), (2, 3), (2, 3)])
+        loop, edge = G.edges.index((0, 0)), G.edges.index((0, 1))
+        kept = list(_orbit_firsts(G, [((loop, edge), 1), ((loop, edge), -1)]))
+        assert kept == [((loop, edge), 1)]
+
+    def test_orientation_flip_maps_sign(self):
+        # 0 <-> 1, 2 <-> 3 reverses both (0, 1) and (2, 3), and every
+        # other automorphism reverses both or neither, so the relative
+        # sign is kept and the two signs lie in different orbits
+        G = Multigraph(4, [(0, 1), (0, 2), (0, 2), (1, 3), (1, 3), (2, 3)])
+        assert is_automorphism(G, (1, 0, 3, 2))
+        a, b = G.edges.index((0, 1)), G.edges.index((2, 3))
+        choices = [((a, b), 1), ((a, b), -1)]
+        assert list(_orbit_firsts(G, choices)) == choices
+        assert brute_orbit_firsts(G, choices) == choices
+
+
+@pytest.fixture
+def shared_work(monkeypatch):
+    """Both sweeps eigensolve each cover and test its quotients once.
+    `bands`, `gap_report` and `_planar_quotients` are deterministic on
+    equal input, so the comparison still checks which candidates each
+    side tries and keeps."""
+    structures, reports, planar = {}, {}, {}
+
+    def cached_bands(P, N):
+        key = (P.base.edges, P.offsets, N)
+        if key not in structures:
+            structures[key] = bands(P, N)
+        return structures[key]
+
+    def cached_report(B):
+        # structures keeps every B alive, so its id is never reused
+        if id(B) not in reports:
+            reports[id(B)] = gap_report(B)
+        return reports[id(B)]
+
+    def cached_planar(P):
+        key = (P.base.edges, P.offsets)
+        if key not in planar:
+            planar[key] = _planar_quotients(P)
+        return planar[key]
+
+    for module in (search, search_oracle):
+        monkeypatch.setattr(module, "bands", cached_bands)
+        monkeypatch.setattr(module, "gap_report", cached_report)
+        monkeypatch.setattr(module, "_planar_quotients", cached_planar)
+
+
+@pytest.mark.usefixtures("shared_work")
+class TestSkipKeepsRows:
+    def test_four_vertex_rank1_two_link(self):
+        seeds = enumerate_cubic_multigraphs(4)
+        assert _rows(iter_search_covers(seeds, rank=1, two_link=True,
+                                        N=32)) == \
+            _rows(oracle_search_covers(seeds, rank=1, two_link=True, N=32))
+
+    def test_four_vertex_rank2(self):
+        seeds = enumerate_cubic_multigraphs(4)
+        assert _rows(iter_search_covers(seeds, rank=2, N=32)) == \
+            _rows(oracle_search_covers(seeds, rank=2, N=32))
+
+    def test_six_vertex_rank2(self):
+        seeds = enumerate_cubic_multigraphs(6)
+        assert _rows(iter_search_covers(seeds, rank=2, N=32)) == \
+            _rows(oracle_search_covers(seeds, rank=2, N=32))
+
+
+def _report(intervals=(), points=()):
+    est = IntervalSet(intervals, points)
+    return GapReport(est, est.complement_in(-3.0, 3.0), (), 0.05)
+
+
+class TestDedupKey:
+    def test_noise_wide_interval_reads_as_point(self):
+        x = 1.897983
+        point = _report([(-3.0, -1.0)], [x])
+        noisy = _report([(-3.0, -1.0), (x, x + 1e-15)])
+        assert noisy.spectrum_estimate.intervals[-1] == (x, x + 1e-15)
+        assert _dedup_key(4, point) == _dedup_key(4, noisy)
+
+    def test_points_form_a_sorted_set(self):
+        a = _report([(-3.0, -1.0), (0.5, 0.5 + 1e-12)], [0.2, 0.5])
+        b = _report([(-3.0, -1.0)], [0.2, 0.5])
+        assert _dedup_key(4, a) == _dedup_key(4, b)
+        assert _dedup_key(4, a)[2] == (0.2, 0.5)
+
+    def test_rounded_width_keeps_an_interval(self):
+        x = 1.5
+        point = _report([(-3.0, -1.0)], [x])
+        narrow = _report([(-3.0, -1.0), (x, x + 1e-6)])
+        assert _dedup_key(4, narrow)[1] == ((-3.0, -1.0), (1.5, 1.500001))
+        assert _dedup_key(4, point) != _dedup_key(4, narrow)
