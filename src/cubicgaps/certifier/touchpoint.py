@@ -31,6 +31,7 @@ from ..covers.periodic import (
     bands,
     flat_values,
     gap_report,
+    offset_split,
     twisted_adjacency,
 )
 from .exact import (
@@ -77,20 +78,19 @@ def decode_exact(blob):
 
 
 def _integer_touch_matrix(P: PeriodicGraph, theta_t: float):
-    """Integer adjacency matrix at a touch angle (0 or pi)."""
+    """Integer adjacency matrix at a touch angle (0 or pi): the offset
+    split summed exactly at z = s = +-1, as lists of Python ints.
+    s ** abs(o) stays an int, where (-1) ** -1 is the float -1.0."""
     if abs(theta_t) <= _ANGLE_TOL:
-        z = 1.0
+        s = 1
     elif abs(theta_t - math.pi) <= _ANGLE_TOL:
-        z = -1.0
+        s = -1
     else:
         raise BadInput("touch angle must be 0 or pi")
     if P.rank != 1:
         raise BadInput("touch-point certification needs a rank-1 cover")
-    A = twisted_adjacency(P, (z,))
-    rounded = np.rint(A.real)
-    if np.abs(A - rounded).max() > 1e-12:
-        raise NumericalFailure("adjacency not integral at the touch angle")
-    return [[int(x) for x in row] for row in rounded]
+    M = sum(s ** abs(o) * B for (o,), B in offset_split(P).items())
+    return (M + M.T).tolist()
 
 
 def cover_id(P: PeriodicGraph) -> str:

@@ -29,7 +29,7 @@ from .certifier import (certify_touchpoint, cover_id, exact_eigenpairs,
                         locate_touch_angle, verify_certificate)
 from .covers import (PeriodicGraph, bands, catalog_hash, coverage_report,
                      cyclic_quotient, entry_cover, gap_report,
-                     iter_search_covers, load_catalog, torus_quotient)
+                     iter_search_covers, lift, load_catalog)
 from .dynamics import (IntervalSet, a_membership, capacity_estimate,
                        plan_gap_witness, preimage_intervals, realize_plan,
                        tmap)
@@ -288,10 +288,9 @@ def cmd_search(cfg: RunConfig, args) -> int:
 
 def cmd_quotient(cfg: RunConfig, args) -> int:
     P = _load_cover(args.cover)
-    if P.rank == 1:
-        Q = cyclic_quotient(P, args.decks)
-    else:
-        Q = torus_quotient(P, args.decks, args.decks2 or args.decks)
+    if args.decks2 and P.rank == 1:
+        raise BadInput("--n2 applies to rank-2 covers only")
+    Q = lift(P, (args.decks, args.decks2 or args.decks)[:P.rank])
     ev = spectrum(Q)
     planar = bool(is_planar(Q))
     out = _outdir(cfg)

@@ -2,16 +2,25 @@
 
 A PeriodicGraph is a cubic base cell where every edge carries an integer
 offset vector in Z^rank: offset 0 keeps the edge inside the cell, offset
-e_i sends it to the neighboring cell along axis i.  The spectrum of the
-infinite cover decomposes over unit-modulus characters z of the deck
-group; twisted_adjacency builds the n x n Hermitian matrix at one z and
-bands samples it over the whole torus grid.  Finite cyclic quotients
-wrap the rank-1 covers; their spectra equal the twisted eigenvalues at
-roots of unity, which the tests verify.
+e_i sends it to the neighboring cell along axis i.  Two constructions
+read the cover, and everything else goes through them:
+
+- offset_split, the integer per-offset split {o: B_o}, where B_o counts
+  the stored edges (u <= v) that carry offset o.  The twisted adjacency
+  at a unit-modulus character z is A(z) = M(z) + M(z)^H with
+  M(z) = sum_o z^o B_o.  twisted_adjacency evaluates it at one z, bands
+  over the whole torus grid, and the touch-point certifier exactly at
+  z = +-1.
+- lift, the finite quotient with deck group Z/n or Z/n1 x Z/n2 (a
+  voltage-graph lift, Gross & Tucker).  cyclic_quotient and
+  torus_quotient are lifts, and so is the connectivity check.  A
+  lift's spectrum equals the twisted eigenvalues at the matching roots
+  of unity, which the tests verify.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,11 +34,13 @@ __all__ = [
     "PeriodicGraph",
     "BandStructure",
     "GapReport",
+    "offset_split",
     "twisted_adjacency",
     "bands",
     "restrict_subtorus",
     "flat_values",
     "gap_report",
+    "lift",
     "cyclic_quotient",
     "torus_quotient",
 ]
@@ -41,6 +52,12 @@ class PeriodicGraph:
     base.edges, which Multigraph keeps sorted).  Use from_links to build
     one from (u, v, offset) triples without worrying about orientation:
     stored edges satisfy u <= v and flipping an edge negates its offset.
+
+    The cover must be connected.  That is decided on the 3-deck lift
+    (3 x 3 for rank 2), which is exact for offsets in {-1, 0, 1} but can
+    accept a disconnected cover with larger offsets: the doubled-cycle
+    base with offsets 0, 2, 0, 0, 0, 2 connects 3 decks, yet only reaches
+    the even cells, so its 4-deck quotient falls apart.
     """
 
     base: Multigraph
@@ -60,7 +77,7 @@ class PeriodicGraph:
         if any(len(o) != self.rank for o in offs):
             raise BadInput(f"offsets must have length {self.rank}")
         object.__setattr__(self, "offsets", offs)
-        if not cyclic_like_connected(self):
+        if not lift(self, (3,) * self.rank).is_connected():
             raise BadInput("cover is disconnected")
 
     @classmethod
@@ -96,6 +113,35 @@ class PeriodicGraph:
                    data.get("name", ""))
 
 
+def offset_split(P: PeriodicGraph) -> dict:
+    """{o: B_o}: one n x n integer matrix per distinct offset tuple, in
+    order of first appearance along base.edges.  B_o[u, v] counts the
+    stored edges (u <= v) that carry offset o, so a wrapped loop sits on
+    the diagonal once and counts on both sides of A(z) = M(z) + M(z)^H."""
+    n = P.base.n
+    split = {}
+    for (u, v), o in zip(P.base.edges, P.offsets):
+        split.setdefault(o, np.zeros((n, n), dtype=np.int64))[u, v] += 1
+    return split
+
+
+def _evaluate(P: PeriodicGraph, z: np.ndarray) -> np.ndarray:
+    """A(z) over a stack of characters z of shape (S, rank): one phase
+    z^o = prod_i z_i^{o_i} per distinct offset (a zero exponent is
+    skipped, as its power is exactly 1), added at (u, v) and conjugated
+    at (v, u) for each nonzero entry of B_o."""
+    n = P.base.n
+    A = np.zeros((len(z), n, n), dtype=complex)
+    for o, B in offset_split(P).items():
+        powers = [zi ** oi for zi, oi in zip(z.T, o) if oi]
+        phase = functools.reduce(np.multiply, powers) if powers else 1
+        for u, v in zip(*np.nonzero(B)):
+            w = B[u, v] * phase
+            A[:, u, v] += w
+            A[:, v, u] += np.conj(w)
+    return A
+
+
 def twisted_adjacency(P: PeriodicGraph, z) -> np.ndarray:
     """Hermitian unit-cell adjacency at character z (one unit-modulus
     number per axis).  An edge with offset o contributes z^o at (u, v)
@@ -107,16 +153,7 @@ def twisted_adjacency(P: PeriodicGraph, z) -> np.ndarray:
         raise BadInput(f"need {P.rank} character value(s)")
     if np.any(np.abs(np.abs(zv) - 1.0) > 1e-9):
         raise BadInput("character values must have modulus 1")
-    n = P.base.n
-    A = np.zeros((n, n), dtype=complex)
-    for (u, v), off in zip(P.base.edges, P.offsets):
-        phase = np.prod(zv ** np.array(off))
-        if u == v:
-            A[u, u] += phase + np.conj(phase)
-        else:
-            A[u, v] += phase
-            A[v, u] += np.conj(phase)
-    return A
+    return _evaluate(P, zv[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -146,31 +183,10 @@ def _angle_grid(N: int) -> np.ndarray:
 def bands(P: PeriodicGraph, N: int) -> BandStructure:
     """Eigen-decompose the twisted adjacency over an N (or N x N) grid."""
     th = _angle_grid(N)
-    n = P.base.n
-    if P.rank == 1:
-        phases = np.exp(1j * th)  # (N,)
-        A = np.zeros((len(th), n, n), dtype=complex)
-        for (u, v), (o,) in zip(P.base.edges, P.offsets):
-            ph = phases ** o
-            if u == v:
-                A[:, u, u] += 2.0 * ph.real
-            else:
-                A[:, u, v] += ph
-                A[:, v, u] += np.conj(ph)
-        vals = np.linalg.eigvalsh(A)
-        return BandStructure(1, (th,), vals)
-    t1 = np.repeat(th, len(th))
-    t2 = np.tile(th, len(th))
-    A = np.zeros((len(t1), n, n), dtype=complex)
-    for (u, v), (o1, o2) in zip(P.base.edges, P.offsets):
-        ph = np.exp(1j * (o1 * t1 + o2 * t2))
-        if u == v:
-            A[:, u, u] += 2.0 * ph.real
-        else:
-            A[:, u, v] += ph
-            A[:, v, u] += np.conj(ph)
-    vals = np.linalg.eigvalsh(A)
-    return BandStructure(2, (th, th), vals)
+    axes = np.meshgrid(*[np.exp(1j * th)] * P.rank, indexing="ij")
+    z = np.stack([a.ravel() for a in axes], axis=1)
+    vals = np.linalg.eigvalsh(_evaluate(P, z))
+    return BandStructure(P.rank, (th,) * P.rank, vals)
 
 
 def restrict_subtorus(P: PeriodicGraph, a: int, b: int) -> PeriodicGraph:
@@ -264,63 +280,38 @@ def gap_report(B: BandStructure, threshold: float = 0.05) -> GapReport:
     return GapReport(est, gaps, flat_bands, float(threshold))
 
 
-def cyclic_quotient(P: PeriodicGraph, n: int) -> Multigraph:
-    """Wrap n copies of the cell into a finite ring; vertex (deck c,
-    base vertex v) becomes c*|base| + v.  Offsets wrap modulo n, so one
-    deck turns nonzero offsets into loops and two decks into parallel
-    edges; the spectrum equals the twisted eigenvalues at the n-th roots
-    of unity."""
-    if P.rank != 1:
-        raise BadInput("cyclic quotients wrap rank-1 covers")
-    if n < 1:
-        raise BadInput("need n >= 1")
+def lift(P: PeriodicGraph, decks) -> Multigraph:
+    """Wrap the cover on decks = (n,) or (n1, n2) cells, i.e. its finite
+    quotient with deck group Z/n or Z/n1 x Z/n2.  Decks are numbered
+    row-major and vertex (deck c, base vertex v) becomes c*|base| + v;
+    an edge with offset o joins deck c to deck c + o, wrapped per axis,
+    so one deck turns nonzero offsets into loops and two decks into
+    parallel edges."""
+    decks = tuple(int(d) for d in decks)
+    if len(decks) != P.rank:
+        raise BadInput(f"a rank-{P.rank} cover needs {P.rank} deck count(s)")
+    if min(decks) < 1:
+        raise BadInput("need at least one deck per axis")
+    heads = {}
+    for o in set(P.offsets):
+        # heads[o][i]: deck i moved by o, built axis by axis row-major
+        heads[o] = [0]
+        for d, k in zip(o, decks):
+            heads[o] = [i * k + (c + d) % k for i in heads[o] for c in range(k)]
     bn = P.base.n
-    edges = []
-    for (u, v), (o,) in zip(P.base.edges, P.offsets):
-        for c in range(n):
-            edges.append((c * bn + u, ((c + o) % n) * bn + v))
-    return Multigraph(n * bn, edges,
-                      name=f"{P.name or 'cover'}/C{n}")
+    edges = [(i * bn + u, j * bn + v)
+             for (u, v), o in zip(P.base.edges, P.offsets)
+             for i, j in enumerate(heads[o])]
+    kind = "C" if P.rank == 1 else "T"
+    return Multigraph(math.prod(decks) * bn, edges,
+                      name=f"{P.name or 'cover'}/{kind}{'x'.join(map(str, decks))}")
+
+
+def cyclic_quotient(P: PeriodicGraph, n: int) -> Multigraph:
+    """The ring of n cells of a rank-1 cover; see lift."""
+    return lift(P, (n,))
 
 
 def torus_quotient(P: PeriodicGraph, n1: int, n2: int) -> Multigraph:
-    """Wrap a rank-2 cover on an n1 x n2 torus of cells."""
-    if P.rank != 2:
-        raise BadInput("torus quotients wrap rank-2 covers")
-    if n1 < 1 or n2 < 1:
-        raise BadInput("need n1, n2 >= 1")
-    bn = P.base.n
-
-    def vid(c1, c2, v):
-        return (c1 * n2 + c2) * bn + v
-
-    edges = []
-    for (u, v), (o1, o2) in zip(P.base.edges, P.offsets):
-        for c1 in range(n1):
-            for c2 in range(n2):
-                edges.append((vid(c1, c2, u),
-                              vid((c1 + o1) % n1, (c2 + o2) % n2, v)))
-    return Multigraph(n1 * n2 * bn, edges, name=f"{P.name or 'cover'}/T{n1}x{n2}")
-
-
-def cyclic_like_connected(P: PeriodicGraph) -> bool:
-    """Connectivity of the infinite cover, decided on a 3-cell (or
-    3 x 3) wrap: offsets are in {-1, 0, 1} in everything we search, and
-    any offset pattern generating the deck group connects 3 decks."""
-    bn = P.base.n
-    if P.rank == 1:
-        edges = []
-        for (u, v), (o,) in zip(P.base.edges, P.offsets):
-            for c in range(3):
-                edges.append((c * bn + u, ((c + o) % 3) * bn + v))
-        return Multigraph(3 * bn, edges).is_connected()
-
-    def vid(c1, c2, v):
-        return (c1 * 3 + c2) * bn + v
-
-    edges = []
-    for (u, v), (o1, o2) in zip(P.base.edges, P.offsets):
-        for c1 in range(3):
-            for c2 in range(3):
-                edges.append((vid(c1, c2, u), vid((c1 + o1) % 3, (c2 + o2) % 3, v)))
-    return Multigraph(9 * bn, edges).is_connected()
+    """The n1 x n2 torus of cells of a rank-2 cover; see lift."""
+    return lift(P, (n1, n2))

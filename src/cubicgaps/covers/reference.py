@@ -54,15 +54,11 @@ def doubled_cycle_cover() -> PeriodicGraph:
 
 def prism_ring(n: int) -> Multigraph:
     """n stacked prism cells in a carousel; 6n vertices."""
-    if n < 1:
-        raise BadInput("need n >= 1")
     return cyclic_quotient(prism_band_cover(), n)
 
 
 def doubled_cycle_ring(n: int) -> Multigraph:
     """n doubled-cycle cells in a ring; 4n vertices, bipartite."""
-    if n < 1:
-        raise BadInput("need n >= 1")
     return cyclic_quotient(doubled_cycle_cover(), n)
 
 

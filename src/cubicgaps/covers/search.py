@@ -243,10 +243,13 @@ def iter_search_covers(seeds, rank: int = 2, two_link: bool = True,
     if N < 16 or N % 2:
         raise BadInput("grid size must be even and at least 16")
     seen = set()
-    for seed in seeds:
-        seed.require_cubic("cover search seed")
+    for i, seed in enumerate(seeds):
+        seed.require_cubic(f"cover search seed {i}")
+        if seed.half_loops:
+            raise BadInput(f"cover search seed {i} carries half-loops, "
+                           "which a periodic cover cannot lift")
         if seed.n > 12:
-            raise BadInput("seeds must have at most 12 vertices")
+            raise BadInput(f"cover search seed {i} has more than 12 vertices")
         for offs, subtorus, cover, grid in _candidates(seed, rank, two_link, N):
             report = gap_report(bands(cover, grid))
             key = _dedup_key(seed.n, report)

@@ -1,0 +1,150 @@
+"""The per-offset Bloch assembly and the deck-group lift.
+
+The byte-for-byte tests hold `bands` to the per-edge loops of
+`bloch_oracle.py` on the search candidates and the reference covers.
+The properties draw random connected covers of the cubic cells with at
+most 6 vertices (loops and multi-edges included, offsets in -3..3) and
+check the lift against the twisted spectrum at roots of unity, the
+exact touch matrices against the float assembly, and the lift against
+the per-rank wraps of the oracle.
+"""
+
+import itertools
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+from bloch_oracle import (oracle_band_values, oracle_quotient,
+                          oracle_twisted_adjacency)
+from cubicgaps.certifier.touchpoint import _integer_touch_matrix
+from cubicgaps.covers import (PeriodicGraph, bands, doubled_cycle_cover, lift,
+                              offset_split, prism_band_cover,
+                              twisted_adjacency)
+from cubicgaps.covers.search import _candidates
+from cubicgaps.errors import BadInput
+from cubicgaps.graphcore import enumerate_cubic_multigraphs, spectrum
+
+CELLS = [G for n in (2, 4, 6) for G in enumerate_cubic_multigraphs(n)]
+
+
+def _search_covers(n, rank):
+    for seed in enumerate_cubic_multigraphs(n):
+        for _, _, P, grid in _candidates(seed, rank, True, 32):
+            yield P, grid
+
+
+@pytest.mark.parametrize("n, rank", [(4, 1), (4, 2), (6, 2)])
+def test_bands_bit_equal_on_search_candidates(n, rank):
+    for P, grid in _search_covers(n, rank):
+        assert bands(P, grid).values.tobytes() == \
+            oracle_band_values(P, grid).tobytes(), P.offsets
+
+
+@pytest.mark.parametrize("P", [prism_band_cover(), doubled_cycle_cover()],
+                         ids=lambda P: P.name)
+def test_reference_covers_bit_equal(P):
+    assert bands(P, 256).values.tobytes() == \
+        oracle_band_values(P, 256).tobytes()
+    for th in (0.0, math.pi, 0.7, -2.1):
+        z = [complex(math.cos(th), math.sin(th))]
+        assert twisted_adjacency(P, z).tobytes() == \
+            oracle_twisted_adjacency(P, z).tobytes()
+
+
+def test_large_offsets_agree_to_rounding():
+    # z1^2 and z1^-1 are powers of exp(i theta1), where the per-edge
+    # loop took exp(i (o1 theta1 + o2 theta2)); the two differ by ulps
+    P = PeriodicGraph.from_links(4, [(0, 1, (1, 1)), (0, 1, (0, 0)),
+                                     (0, 2, (-1, 0)), (1, 3, (0, 0)),
+                                     (2, 3, (2, 0)), (2, 3, (0, 1))], rank=2)
+    assert np.abs(bands(P, 32).values - oracle_band_values(P, 32)).max() < 1e-12
+    for z in ([np.exp(0.3j), np.exp(-1.9j)], [-1.0, 1j]):
+        assert np.abs(twisted_adjacency(P, z)
+                      - oracle_twisted_adjacency(P, z)).max() < 1e-12
+
+
+def test_parallel_edges_with_mixed_offsets_agree_to_rounding():
+    # B_o gathers parallel edges per offset, so the three edges of the
+    # 2-vertex theta cell are summed as 1 * z + 2 rather than z + 1 + 1
+    for P, grid in _search_covers(2, 1):
+        assert np.abs(bands(P, grid).values
+                      - oracle_band_values(P, grid)).max() < 1e-12
+
+
+def test_offset_split_counts_stored_edges():
+    split = offset_split(doubled_cycle_cover())
+    assert list(split) == [(0,), (1,)]
+    assert split[(0,)].tolist() == [[0, 1, 0, 1], [0, 0, 1, 0],
+                                    [0, 0, 0, 1], [0, 0, 0, 0]]
+    assert split[(1,)].tolist() == [[0, 1, 0, 0], [0, 0, 0, 0],
+                                    [0, 0, 0, 1], [0, 0, 0, 0]]
+
+
+EVEN_CELLS = ((0,), (2,), (0,), (0,), (0,), (2,))
+
+
+def test_even_cell_offsets_connect_three_decks_but_not_four():
+    # the doubled-cycle base with its wrapped edges at offset 2: the
+    # offsets generate 2Z, not Z, so the infinite cover splits in two,
+    # yet 2 generates Z/3
+    wrap = SimpleNamespace(base=doubled_cycle_cover().base, rank=1,
+                           offsets=EVEN_CELLS, name="")
+    assert lift(wrap, (3,)).is_connected()
+    assert not lift(wrap, (4,)).is_connected()
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="connectivity is decided on the 3-deck lift")
+def test_cover_reaching_only_even_cells_is_refused():
+    with pytest.raises(BadInput):
+        PeriodicGraph(doubled_cycle_cover().base, 1, EVEN_CELLS)
+
+
+@st.composite
+def covers(draw, rank):
+    """A connected cover of a cubic cell on at most 6 vertices with
+    offsets in -3..3."""
+    base = draw(st.sampled_from(CELLS))
+    offsets = [tuple(draw(st.integers(-3, 3)) for _ in range(rank))
+               for _ in base.edges]
+    try:
+        return PeriodicGraph(base, rank, offsets)
+    except BadInput:  # a disconnected cover
+        reject()
+
+
+def _twisted_spectrum(P, decks):
+    roots = [[np.exp(2j * np.pi * m / n) for m in range(n)] for n in decks]
+    return np.sort(np.concatenate([
+        np.linalg.eigvalsh(twisted_adjacency(P, z))
+        for z in itertools.product(*roots)]))
+
+
+def _check_lift(P, decks):
+    Q = lift(P, decks)
+    assert Q == oracle_quotient(P, decks)
+    assert np.abs(spectrum(Q) - _twisted_spectrum(P, decks)).max() < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(covers(1), st.integers(1, 6))
+def test_ring_lift_spectrum_is_twisted_spectrum_at_roots(P, n):
+    _check_lift(P, (n,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(covers(2), st.integers(1, 4), st.integers(1, 4))
+def test_torus_lift_spectrum_is_twisted_spectrum_at_roots(P, n1, n2):
+    _check_lift(P, (n1, n2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(covers(1), st.sampled_from((1, -1)))
+def test_touch_matrix_is_the_rounded_float_assembly(P, s):
+    A = _integer_touch_matrix(P, 0.0 if s == 1 else math.pi)
+    assert all(type(x) is int for row in A for x in row)
+    assert A == np.rint(twisted_adjacency(P, [s]).real).astype(int).tolist()

@@ -157,6 +157,14 @@ class TestSearch:
                                   "55c987c9c8bc467e058c7d1ea6c68aba",
         }
 
+    def test_half_loop_seed_exits_4(self, tmp_path, capsys):
+        seeds = tmp_path / "seeds.json"
+        half = Multigraph(2, [(0, 1), (0, 1)], half_loops=(0, 1))
+        seeds.write_text(json.dumps([half.to_json()]))
+        assert run("search", "--seeds", seeds, "--rank", 1, "--grid", 32,
+                   "--out", tmp_path / "o") == 4
+        assert "seed 0 carries half-loops" in capsys.readouterr().err
+
     def test_interrupt_keeps_flushed_rows(self, tmp_path, monkeypatch):
         catalog = tmp_path / "catalog.jsonl"
         search = cli.iter_search_covers
@@ -185,6 +193,23 @@ class TestQuotient:
         assert doc["n"] == 32
         assert all(not -1.0 + 1e-9 < v < 1.0 - 1e-9
                    for v in doc["spectrum"])
+
+    def test_second_axis_on_rank_one_cover_is_refused(self, tmp_path, capsys):
+        assert run("quotient", fx("doubled_cycle_cover.json"), "-n", 8,
+                   "--n2", 3, "--out", tmp_path) == 4
+        assert "--n2" in capsys.readouterr().err
+        assert not (tmp_path / "quotient.json").exists()
+
+    def test_torus_quotient(self, tmp_path):
+        base = Multigraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        offsets = [[1, 0], [0, 1], [0, 0], [0, 0], [0, 0], [0, 0]]
+        cover = tmp_path / "k4_torus.json"
+        cover.write_text(json.dumps({"base": base.to_json(), "rank": 2,
+                                     "offsets": offsets, "name": "k4"}))
+        assert run("quotient", cover, "-n", 3, "--n2", 2,
+                   "--out", tmp_path / "o") == 0
+        doc = json.loads((tmp_path / "o" / "quotient.json").read_text())
+        assert doc["n"] == 24 and doc["name"] == "k4/T3x2"
 
 
 class TestCertify:

@@ -69,6 +69,14 @@ class TestRankOne:
         with pytest.raises(BadInput):
             search_covers([named_graph("k4")], rank=1, two_link=False, N=15)
 
+    def test_half_loop_seed_is_refused_by_index(self):
+        # require_cubic counts a half-loop as degree 1, so this seed is
+        # cubic, but no cover of it exists; the sweep used to skip every
+        # candidate and return no rows
+        half = Multigraph(2, [(0, 1), (0, 1)], half_loops=(0, 1))
+        with pytest.raises(BadInput, match="seed 1 carries half-loops"):
+            search_covers([named_graph("k4"), half], rank=1, N=32)
+
 
 class TestRankTwoRediscovery:
     def test_four_vertex_seeds_find_two_band_cover(self):
