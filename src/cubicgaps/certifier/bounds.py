@@ -33,6 +33,9 @@ assigned by content: I single (d), II single (c), III two (c), IV one
 (c) plus an extra captured outsider, V one (d) plus extra, VI (c)+(d),
 VII two (d), VIII three or more captures, IX two (c) plus extra, X other
 mixtures, XI extra-capture only.
+
+One depth-first search, `_hamilton`, finds both the free-ended paths of
+find_hamilton_path and the fixed-end segment paths.
 """
 
 from __future__ import annotations
@@ -78,23 +81,28 @@ def _neighbor_sets(X: Multigraph):
     return [set(row) for row in X.neighbors()]
 
 
-def find_hamilton_path(X: Multigraph, max_nodes: int = 500_000):
-    """Backtracking Hamilton path search; returns a vertex tuple or None
-    (None also when the node budget runs out)."""
-    adj = _neighbor_sets(X)
-    n = X.n
-    budget = [max_nodes]
+def _hamilton(adj, verts, start, end, budget):
+    """Depth-first Hamilton path through the vertex set verts, from start
+    and, unless end is None, to end; returns a list or None.
+
+    Each step tries the unvisited neighbours inside verts with the
+    fewest unvisited neighbours first, ties broken by index.  budget is
+    a one-element list of search nodes left; callers share it across
+    searches, and an empty budget gives None.
+    """
+    sub = {v: adj[v] & verts for v in verts}
 
     def extend(path, seen):
         if budget[0] <= 0:
             return None
         budget[0] -= 1
-        if len(path) == n:
-            return path
         v = path[-1]
-        nxt = sorted(adj[v] - seen,
-                     key=lambda u: (len(adj[u] - seen), u))
+        if len(path) == len(verts):
+            return path if end is None or v == end else None
+        nxt = sorted(sub[v] - seen, key=lambda u: (len(sub[u] - seen), u))
         for u in nxt:
+            if u == end and len(path) + 1 < len(verts):
+                continue
             seen.add(u)
             path.append(u)
             out = extend(path, seen)
@@ -104,8 +112,20 @@ def find_hamilton_path(X: Multigraph, max_nodes: int = 500_000):
             seen.remove(u)
         return None
 
-    for start in sorted(range(n), key=lambda v: (len(adj[v]), v)):
-        out = extend([start], {start})
+    if start not in verts or (end is not None and end not in verts):
+        return None
+    return extend([start], {start})
+
+
+def find_hamilton_path(X: Multigraph, max_nodes: int = 500_000):
+    """Backtracking Hamilton path search; returns a vertex tuple or None
+    (None also when the node budget, shared by all start vertices, runs
+    out)."""
+    adj = _neighbor_sets(X)
+    verts = set(range(X.n))
+    budget = [max_nodes]
+    for start in sorted(range(X.n), key=lambda v: (len(adj[v]), v)):
+        out = _hamilton(adj, verts, start, None, budget)
         if out is not None:
             return tuple(out)
         if budget[0] <= 0:
@@ -264,7 +284,7 @@ def _segment_hamilton(adj, core, candidates, alpha, beta, fallback):
         for skipped in _subsets(cand, drop):
             use = [c for c in cand if c not in skipped]
             verts = set(core) | set(use)
-            order = _ham_between(adj, verts, alpha, beta)
+            order = _hamilton(adj, verts, alpha, beta, [100_000])
             if order is not None:
                 return order, tuple(u for u in use)
     return list(fallback), ()
@@ -278,35 +298,6 @@ def _subsets(items, k):
     for i, x in enumerate(items):
         for rest in _subsets(items[i + 1:], k - 1):
             yield (x,) + rest
-
-
-def _ham_between(adj, verts, alpha, beta, max_nodes=100_000):
-    budget = [max_nodes]
-
-    def extend(path, seen):
-        if budget[0] <= 0:
-            return None
-        budget[0] -= 1
-        v = path[-1]
-        if len(path) == len(verts):
-            return path if v == beta else None
-        nxt = sorted((adj[v] & verts) - seen,
-                     key=lambda u: (len((adj[u] & verts) - seen), u))
-        for u in nxt:
-            if u == beta and len(path) + 1 < len(verts):
-                continue
-            seen.add(u)
-            path.append(u)
-            out = extend(path, seen)
-            if out is not None:
-                return out
-            path.pop()
-            seen.remove(u)
-        return None
-
-    if alpha not in verts or beta not in verts:
-        return None
-    return extend([alpha], {alpha})
 
 
 _TAG_BY_CONTENT = {
@@ -692,19 +683,6 @@ def geodesic_bound(X: Multigraph, lam: float) -> dict:
             "neighborhood_size": size}
 
 
-def _int_adjacency(X: Multigraph):
-    A = [[0] * X.n for _ in range(X.n)]
-    for u, v in X.edges:
-        if u == v:
-            A[u][u] += 2
-        else:
-            A[u][v] += 1
-            A[v][u] += 1
-    for v in X.half_loops:
-        A[v][v] += 1
-    return A
-
-
 def fekete_finiteness(X: Multigraph, F) -> dict:
     """Whether sigma(X) can be contained in the finite set F.
 
@@ -734,7 +712,7 @@ def fekete_finiteness(X: Multigraph, F) -> dict:
             break
     if ecc_pair is not None:
         x0, y0 = ecc_pair
-        A = np.array(_int_adjacency(X), dtype=np.int64)
+        A = X.adjacency()
         power = np.eye(X.n, dtype=np.int64)
         for m in range(k):
             if power[x0, y0] != 0:
@@ -747,7 +725,7 @@ def fekete_finiteness(X: Multigraph, F) -> dict:
         return {"verdict": "SpectrumNotContained",
                 "witness": {"x0": x0, "y0": y0, "distance": k,
                             "path_count": count}}
-    A = _int_adjacency(X)
+    A = X.adjacency().tolist()
     n = X.n
     # columns of q*A - p*I, one factor per value, in ascending order
     factors = [[[c.denominator * A[i][j] - (c.numerator if i == j else 0)

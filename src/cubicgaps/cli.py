@@ -27,9 +27,9 @@ import numpy as np
 from . import __version__
 from .certifier import (certify_touchpoint, cover_id, exact_eigenpairs,
                         locate_touch_angle, verify_certificate)
-from .covers import (PeriodicGraph, bands, catalog_hash, coverage_report,
-                     cyclic_quotient, entry_cover, gap_report,
-                     iter_search_covers, lift, load_catalog)
+from .covers import (PeriodicGraph, bands, catalog_hash, cyclic_quotient,
+                     entry_cover, gap_report, iter_search_covers, lift,
+                     load_catalog, planar_coverage)
 from .dynamics import (IntervalSet, a_membership, capacity_estimate,
                        plan_gap_witness, preimage_intervals, realize_plan,
                        tmap)
@@ -50,7 +50,6 @@ class RunConfig:
     threshold: float = 0.05
     tolerance: float = 1e-6
     out: str = "out"
-    seed: int = 0
     exact: bool = False
 
     def __post_init__(self):
@@ -74,7 +73,6 @@ def _config(args, inputs=()) -> RunConfig:
         threshold=getattr(args, "threshold", 0.05),
         tolerance=getattr(args, "tolerance", 1e-6),
         out=args.out,
-        seed=args.seed,
         exact=getattr(args, "exact", False),
     )
 
@@ -270,9 +268,7 @@ def cmd_search(cfg: RunConfig, args) -> int:
         "partial": interrupted,
         "entries": len(entries),
         "planar_entries": len(planar),
-        "required": coverage_report(planar, -2.0, 0.0, 0.01),
-        "stretch": coverage_report(planar, -3.0,
-                                   2.0 * math.sqrt(2.0) - 0.01, 0.01),
+        **planar_coverage(planar),
     }
     _write_json(out / "search_report.json", report)
     print(f"{len(entries)} catalog entries ({len(planar)} planar), "
@@ -452,10 +448,6 @@ def cmd_witness(cfg: RunConfig, args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seed", type=int, default=0,
-                   help="random seed recorded in the run config")
-    p.add_argument("--tolerance", type=float, default=1e-6,
-                   help="classification tolerance override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -479,6 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=1, help="iterations")
     p.add_argument("--cap", type=int, default=972,
                    help="vertex cap for the final graph")
+    p.add_argument("--tolerance", type=float, default=1e-6,
+                   help="classification tolerance override")
     _add_common(p)
     p.set_defaults(func=cmd_tmap)
 
@@ -497,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(default: all cubic cells on 4 vertices)")
     p.add_argument("--rank", type=int, default=2, choices=(1, 2))
     p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--threshold", type=float, default=0.05)
     _add_common(p)
     p.set_defaults(func=cmd_search)
 

@@ -9,6 +9,9 @@ element swaps its ends (degree contribution 1) and a full loop when not
 free action this reproduces exactly the orbit-summed adjacency matrix,
 which is the compression of the parent adjacency to orbit-constant
 vectors, hence the spectral containment.
+
+One `ring_reflection` builds the involution, with optional per-vertex
+deck shifts for covers whose links reverse only after a shift.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ __all__ = [
     "group_closure",
     "quotient_by_automorphism",
     "ring_reflection",
-    "shifted_ring_reflection",
     "folded_ring",
 ]
 
@@ -118,25 +120,17 @@ def quotient_by_automorphism(G: Multigraph, perms) -> Multigraph:
                       name=f"{G.name or 'graph'}/(order {order})")
 
 
-def ring_reflection(P: PeriodicGraph, decks: int, rho, c: int):
+def ring_reflection(P: PeriodicGraph, decks: int, rho, c: int, shifts=None):
     """Vertex permutation of cyclic_quotient(P, decks) sending deck k to
-    (c - k) mod decks and base vertex v to rho[v].  This is an
-    automorphism when rho maps every link (u, v, o) to the link
-    (rho u, rho v, -o); it is a free involution when rho is a
-    fixed-point-free involution of the base."""
+    (c - k + shifts[v]) mod decks and base vertex v to rho[v]; no
+    shifts means zero shifts.  This is an automorphism when rho maps
+    every link (u, v, o) to the link (rho u, rho v, -o) up to the
+    per-vertex deck shifts; it is a free involution when rho is a
+    fixed-point-free involution of the base and
+    shifts[rho[v]] == shifts[v]."""
     bn = P.base.n
-    perm = [0] * (decks * bn)
-    for k in range(decks):
-        for v in range(bn):
-            perm[k * bn + v] = ((c - k) % decks) * bn + rho[v]
-    return tuple(perm)
-
-
-def shifted_ring_reflection(P: PeriodicGraph, decks: int, rho, c: int, shifts):
-    """Like ring_reflection but deck image (c - k + shifts[v]) mod decks,
-    needed when rho only reverses the links up to per-vertex deck
-    shifts.  Involution requires shifts[rho[v]] == shifts[v]."""
-    bn = P.base.n
+    if shifts is None:
+        shifts = (0,) * bn
     perm = [0] * (decks * bn)
     for k in range(decks):
         for v in range(bn):
@@ -148,9 +142,5 @@ def folded_ring(P: PeriodicGraph, decks: int, rho, c: int, shifts=None) -> Multi
     """cyclic_quotient(P, decks) folded by the (possibly shifted) deck
     reflection.  Raises BadInput if the candidate map fails to be an
     automorphism or the action is not free."""
-    Q = cyclic_quotient(P, decks)
-    if shifts is None:
-        sigma = ring_reflection(P, decks, rho, c)
-    else:
-        sigma = shifted_ring_reflection(P, decks, rho, c, shifts)
-    return quotient_by_automorphism(Q, [sigma])
+    sigma = ring_reflection(P, decks, rho, c, shifts)
+    return quotient_by_automorphism(cyclic_quotient(P, decks), [sigma])

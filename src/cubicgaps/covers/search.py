@@ -22,7 +22,9 @@ another choice whose cover is the same periodic graph up to relabelling
 (Gross & Tucker, voltage graphs), so its band pictures add nothing new.
 Each seed's choices are therefore tried once per automorphism orbit, at
 the orbit's first member in catalog order, which keeps every row and
-its id as the full sweep would have them.
+its id as the full sweep would have them.  The automorphisms come from
+the library's own matcher (`graphcore.automorphisms`); networkx serves
+the search only through `is_planar`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 from ..dynamics.intervals import IntervalSet
 from ..errors import BadInput
-from ..graphcore.multigraph import Multigraph
+from ..graphcore.multigraph import Multigraph, automorphisms
 from ..graphcore.planarity import is_planar
 from .periodic import (GapReport, PeriodicGraph, bands, cyclic_quotient,
                        gap_report, restrict_subtorus)
@@ -45,6 +47,7 @@ __all__ = [
     "search_covers",
     "search_planar_covers",
     "coverage_report",
+    "planar_coverage",
     "save_catalog",
     "load_catalog",
     "catalog_hash",
@@ -140,17 +143,6 @@ def _offsets_for(m: int, assignment: dict, rank: int):
     return tuple(assignment.get(j, zero) for j in range(m))
 
 
-def _automorphisms(G: Multigraph):
-    """Every vertex permutation of G that keeps its edge multiset."""
-    import networkx as nx
-    from networkx.algorithms.isomorphism import MultiGraphMatcher
-    H = nx.MultiGraph()
-    H.add_nodes_from(range(G.n))
-    H.add_edges_from(G.edges)
-    for iso in MultiGraphMatcher(H, H).isomorphisms_iter():
-        yield tuple(iso[v] for v in range(G.n))
-
-
 def _orbit_firsts(seed: Multigraph, choices):
     """The choices, in the given order, that come first in their orbit
     under the automorphisms of seed.
@@ -164,7 +156,7 @@ def _orbit_firsts(seed: Multigraph, choices):
     """
     cls = {e: seed.edges.index(e) for e in seed.edges}
     maps = []
-    for p in _automorphisms(seed):
+    for p in automorphisms(seed):
         image, flip = {}, {}
         for u, v in seed.edges:
             a, b = p[u], p[v]
@@ -301,15 +293,21 @@ def coverage_report(entries, lo: float, hi: float, resolution: float = 0.01) -> 
     }
 
 
+def planar_coverage(entries) -> dict:
+    """The two coverage reports of a set of planar rows, at resolution
+    0.01: "required" checks [-2, 0], and "stretch" checks
+    [-3, 2*sqrt(2) - 0.01] and reports the reach from -3."""
+    return {"required": coverage_report(entries, -2.0, 0.0, 0.01),
+            "stretch": coverage_report(entries, -3.0,
+                                       2.0 * math.sqrt(2.0) - 0.01, 0.01)}
+
+
 def search_planar_covers(seeds, N: int = 256) -> tuple:
-    """Planar-quotient subset of the full rank-2 search, with the gap
-    union coverage check of [-2, 0] attached."""
+    """Planar-quotient subset of the full rank-2 search, with its
+    `planar_coverage` reports attached."""
     entries = [e for e in search_covers(seeds, rank=2, two_link=True, N=N)
                if e.planar_quotients]
-    stretch_hi = 2.0 * math.sqrt(2.0) - 0.01
-    cover_main = coverage_report(entries, -2.0, 0.0, 0.01)
-    cover_stretch = coverage_report(entries, -3.0, stretch_hi, 0.01)
-    return entries, {"required": cover_main, "stretch": cover_stretch}
+    return entries, planar_coverage(entries)
 
 
 def save_catalog(entries, path) -> str:

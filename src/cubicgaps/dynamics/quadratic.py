@@ -65,6 +65,15 @@ class CantorApprox:
             raise BadInput("level-m approximation must have 2^m intervals")
 
 
+def _pull_interval(a: float, b: float):
+    """The two preimage intervals of [a, b], clamped to [-3, 3]: the
+    left branch (mb, ma) reverses orientation, the right branch
+    (pa, pb) preserves it."""
+    ma, pa = f_preimage(max(a, -3.0))
+    mb, pb = f_preimage(min(b, 3.0))
+    return (mb, ma), (pa, pb)
+
+
 def preimage_intervals(m: int) -> CantorApprox:
     """Pull [-3, 3] back m times through the quadratic map.
 
@@ -79,10 +88,7 @@ def preimage_intervals(m: int) -> CantorApprox:
     for _ in range(m):
         nxt = []
         for a, b in ivs:
-            ma, pa = f_preimage(a)
-            mb, pb = f_preimage(b)
-            nxt.append((mb, ma))
-            nxt.append((pa, pb))
+            nxt.extend(_pull_interval(a, b))
         nxt.sort()
         ivs = nxt
     pts = [0.0]
@@ -181,10 +187,7 @@ def pullback_spectral_set(K: IntervalSet) -> IntervalSet:
         raise BadInput("pullback input must lie in [-3, 3]")
     ivs = []
     for a, b in K.intervals:
-        ma, pa = f_preimage(max(a, -3.0))
-        mb, pb = f_preimage(min(b, 3.0))
-        ivs.append((mb, ma))
-        ivs.append((pa, pb))
+        ivs.extend(_pull_interval(a, b))
     pts = [0.0, -2.0]
     for p in K.points:
         pts.extend(f_preimage(min(max(p, -3.0), 3.0)))

@@ -6,6 +6,7 @@ from .multigraph import (
     is_bipartite,
     signatures,
     are_isomorphic,
+    automorphisms,
     canonical_code,
     permute,
 )
@@ -20,6 +21,7 @@ __all__ = [
     "is_bipartite",
     "signatures",
     "are_isomorphic",
+    "automorphisms",
     "canonical_code",
     "permute",
     "enumerate_cubic_multigraphs",

@@ -8,10 +8,11 @@ duplicates cheaply; the survivors are deduplicated exactly in one pass.
 Each raw graph's adjacency rows and vertex signatures are built once,
 its spectrum comes from one batched eigensolve per chunk of raw graphs,
 and (rounded spectrum, sorted signatures) picks its bucket.  Inside the
-bucket it is matched, by the exact neighbour-guided backtracking of
-``multigraph``, against the match plans of the class representatives
-found so far; only representatives keep any matcher data, and a raw
-graph that matches none becomes the next one.
+bucket it is matched against the match plans of the class
+representatives found so far, by the exact neighbour-guided
+backtracking of ``multigraph``, which stops at its first permutation;
+only representatives keep any matcher data, and a raw graph that
+matches none becomes the next one.
 
 Known class counts for n = 2..10 (loops and parallel edges allowed):
 2, 5, 17, 71, 388; simple graphs: 1 (n=4), 2, 5, 19.
@@ -24,7 +25,8 @@ import itertools
 import numpy as np
 
 from ..errors import BadInput
-from .multigraph import Multigraph, _invariants, _match, _match_plan, canonical_code
+from .multigraph import (Multigraph, _invariants, _isomorphisms, _match_plan,
+                         canonical_code)
 
 __all__ = ["enumerate_cubic_multigraphs", "named_graph", "NAMED_BUILDERS"]
 
@@ -116,7 +118,8 @@ def enumerate_cubic_multigraphs(n: int, allow_loops: bool = True, allow_multi: b
         for edges, (rows, nbrs, sigs), spec in zip(chunk, invs, spectra):
             key = (tuple(spec), tuple(sorted(sigs)))
             bucket = plans.setdefault(key, [])
-            if not any(_match(p, rows, nbrs, sigs) for p in bucket):
+            if all(next(_isomorphisms(p, rows, nbrs, sigs), None) is None
+                   for p in bucket):
                 bucket.append(_match_plan(rows, nbrs, sigs))
                 reps.append((key, Multigraph(n=n, edges=edges)))
     reps.sort(key=lambda kg: (kg[0], kg[1].edges))

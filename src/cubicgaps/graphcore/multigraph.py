@@ -10,6 +10,10 @@ Conventions used throughout the package:
   toward degree and diagonal.  These never come from user input; they are
   produced when an automorphism quotient folds an edge onto itself, and
   are kept explicit so folded graphs keep integer row sums of 3.
+
+One exact backtracking matcher answers every isomorphism question: it
+yields vertex permutations, `are_isomorphic` and the enumeration dedup
+take the first one, and `automorphisms` takes them all.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ __all__ = [
     "is_bipartite",
     "signatures",
     "are_isomorphic",
+    "automorphisms",
     "canonical_code",
     "permute",
 ]
@@ -306,58 +311,59 @@ def _match_plan(rows, nbrs, sigs):
     """Placement order for matching this graph onto another.
 
     Breadth-first from a vertex of the rarest signature, restarted the
-    same way on every further component.  One entry per position:
-    (signature, parent position or -1 at a root, (earlier position,
-    multiplicity) for each neighbour placed before it, their total
-    multiplicity).
+    same way on every further component.  One entry per position: (the
+    vertex placed there, its signature, its parent vertex or -1 at a
+    root, (earlier vertex, multiplicity) for each neighbour placed
+    before it, their total multiplicity).
     """
     freq = Counter(sigs)
-    pos = [-1] * len(sigs)
+    placed = [False] * len(sigs)
     plan = []
 
     def place(v, parent):
-        back = tuple((pos[u], rows[v][u]) for u in nbrs[v] if pos[u] >= 0)
-        pos[v] = len(plan)
-        plan.append((sigs[v], parent, back, sum(m for _, m in back)))
+        back = tuple((u, rows[v][u]) for u in nbrs[v] if placed[u])
+        placed[v] = True
+        plan.append((v, sigs[v], parent, back, sum(m for _, m in back)))
 
     for root in sorted(range(len(sigs)), key=lambda v: (freq[sigs[v]], sigs[v], v)):
-        if pos[root] >= 0:
+        if placed[root]:
             continue
         place(root, -1)
         queue = [root]
         for u in queue:
             for v in nbrs[u]:
-                if pos[v] < 0:
-                    place(v, pos[u])
+                if not placed[v]:
+                    place(v, u)
                     queue.append(v)
     return plan
 
 
-def _match(plan, rows, nbrs, sigs) -> bool:
-    """Is there an isomorphism from the planned graph onto (rows, nbrs,
-    sigs)?  Both graphs must have the same number of vertices.
+def _isomorphisms(plan, rows, nbrs, sigs):
+    """Yield every isomorphism from the planned graph onto (rows, nbrs,
+    sigs), each as a tuple p with p[v] the image of vertex v.  Both
+    graphs must have the same number of vertices.
 
     Exact backtracking: a root may go to any unused vertex of its
     signature, every other vertex to an unused neighbour of its parent's
-    image.  A candidate must repeat the multiplicity of every edge to an
-    earlier position and have no further edges into the placed part, so
-    a full placement preserves the adjacency matrix, diagonal included
-    (equal signatures give equal loop and half-loop counts).
+    image.  A candidate must repeat the multiplicity of every edge to a
+    vertex placed earlier and have no further edges into the placed
+    part, so a full placement preserves the adjacency matrix, diagonal
+    included (equal signatures give equal loop and half-loop counts).
     """
     n = len(plan)
-    img = [-1] * n
+    img = [-1] * n  # image of each vertex of the planned graph
     used = [False] * n
     into = [0] * n  # edge multiplicity from each vertex into the placed part
 
     def candidates(i):
-        sig, parent, back, need = plan[i]
+        _, sig, parent, back, need = plan[i]
         out = []
         for w in (range(n) if parent < 0 else nbrs[img[parent]]):
             if used[w] or into[w] != need or sigs[w] != sig:
                 continue
             row = rows[w]
-            for j, m in back:
-                if row[img[j]] != m:
+            for u, m in back:
+                if row[img[u]] != m:
                     break
             else:
                 out.append(w)
@@ -371,25 +377,34 @@ def _match(plan, rows, nbrs, sigs) -> bool:
         if nxt[i] < len(cands[i]):
             w = cands[i][nxt[i]]
             nxt[i] += 1
-            img[i] = w
+            img[plan[i][0]] = w
+            if i == n - 1:
+                # a full placement; then try the last vertex's next image
+                yield tuple(img)
+                continue
             used[w] = True
             row = rows[w]
             for x in nbrs[w]:
                 into[x] += row[x]
             i += 1
-            if i == n:
-                return True
             cands[i] = candidates(i)
             nxt[i] = 0
         else:
             i -= 1
             if i < 0:
-                return False
-            w = img[i]
+                return
+            w = img[plan[i][0]]
             used[w] = False
             row = rows[w]
             for x in nbrs[w]:
                 into[x] -= row[x]
+
+
+def automorphisms(G: Multigraph):
+    """Yield every vertex permutation of G that keeps its edge and
+    half-loop multisets, as tuples p with p[v] the image of v."""
+    rows, nbrs, sigs = _invariants(G.n, G.edges, G.half_loops)
+    yield from _isomorphisms(_match_plan(rows, nbrs, sigs), rows, nbrs, sigs)
 
 
 def are_isomorphic(G1: Multigraph, G2: Multigraph) -> bool:
@@ -397,8 +412,9 @@ def are_isomorphic(G1: Multigraph, G2: Multigraph) -> bool:
     included, disconnected inputs too.
 
     Cheap invariants (sizes, sorted signatures, spectrum) reject first;
-    the rest is the neighbour-guided backtracking matcher that the
-    enumeration dedup also uses.  Intended for desk scale.
+    the rest is the first permutation of the neighbour-guided
+    backtracking matcher that the enumeration dedup and `automorphisms`
+    also use.  Intended for desk scale.
     """
     if G1.n != G2.n or len(G1.edges) != len(G2.edges):
         return False
@@ -410,7 +426,8 @@ def are_isomorphic(G1: Multigraph, G2: Multigraph) -> bool:
         return False
     if np.max(np.abs(spectrum(G1) - spectrum(G2))) > 1e-8:
         return False
-    return _match(_match_plan(rows1, nbrs1, s1), rows2, nbrs2, s2)
+    plan = _match_plan(rows1, nbrs1, s1)
+    return next(_isomorphisms(plan, rows2, nbrs2, s2), None) is not None
 
 
 def canonical_code(G: Multigraph, node_cap: int = 2_000_000) -> bytes:

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from cubicgaps.certifier.bounds import _int_adjacency
 from cubicgaps.certifier.exact import QuadExt, _squarefree
 from cubicgaps.errors import BadInput, NumericalFailure
 from cubicgaps.graphcore.multigraph import _bfs as _graph_bfs
@@ -265,7 +264,7 @@ def fekete_finiteness(X, F) -> dict:
             break
     if ecc_pair is not None:
         x0, y0 = ecc_pair
-        A = np.array(_int_adjacency(X), dtype=np.int64)
+        A = X.adjacency()
         power = np.eye(X.n, dtype=np.int64)
         for m in range(k):
             if power[x0, y0] != 0:
@@ -278,7 +277,7 @@ def fekete_finiteness(X, F) -> dict:
         return {"verdict": "SpectrumNotContained",
                 "witness": {"x0": x0, "y0": y0, "distance": k,
                             "path_count": count}}
-    Aq = [[Fraction(x) for x in row] for row in _int_adjacency(X)]
+    Aq = [[Fraction(x) for x in row] for row in X.adjacency().tolist()]
     n = X.n
     prod = [[Fraction(1 if i == j else 0) for j in range(n)]
             for i in range(n)]

@@ -21,7 +21,7 @@ from cubicgaps.certifier import (certify_touchpoint, decompose_geodesic,
 from cubicgaps.certifier.bounds import DecompositionFailure
 from cubicgaps.cli import default_catalog_path
 from cubicgaps.covers import (cyclic_quotient, entry_cover, load_catalog,
-                              search_covers, search_planar_covers)
+                              planar_coverage)
 from cubicgaps.covers.reference import (doubled_cycle_cover,
                                         doubled_cycle_ring,
                                         folded_doubled_cycle_ring,
@@ -82,14 +82,12 @@ def _entry_matching(entries, targets, tol=1e-6):
     return None
 
 
-def test_criterion_03_extremal_cover_rediscovery():
+def test_criterion_03_extremal_cover_rediscovery(small_cell_search):
     t0 = time.time()
-    four = search_covers(enumerate_cubic_multigraphs(4), rank=2,
-                         two_link=True, N=256)
+    four = [e for e in small_cell_search if e.base.n == 4]
     two_band = _entry_matching(four, ((-3.0, -1.0), (1.0, 3.0)))
     assert two_band is not None, "no 4-vertex cover matches [-3,-1] u [1,3]"
-    six = search_covers(enumerate_cubic_multigraphs(6), rank=2,
-                        two_link=True, N=256)
+    six = [e for e in small_cell_search if e.base.n == 6]
     three_band = _entry_matching(six, WA_BANDS)
     assert three_band is not None, "no 6-vertex cover matches the " \
                                    "three-band target"
@@ -214,10 +212,9 @@ def test_criterion_08_capacity_estimates():
           f"decreasing toward 1 through m=6 (last {ests[-1]:.4f})")
 
 
-def test_criterion_09_planar_gap_union():
-    seeds = (list(enumerate_cubic_multigraphs(4))
-             + list(enumerate_cubic_multigraphs(6)))
-    entries, checks = search_planar_covers(seeds, N=256)
+def test_criterion_09_planar_gap_union(small_cell_search):
+    entries = [e for e in small_cell_search if e.planar_quotients]
+    checks = planar_coverage(entries)
     assert len(entries) >= 4
     assert checks["required"]["covered"] is True
     reach = checks["stretch"]["reach_from_minus3"]

@@ -36,6 +36,25 @@ class TestHamiltonPath:
         assert path is not None
         assert _is_path(X, path)
 
+    @pytest.mark.parametrize("X,want", [
+        (named_graph("cube"), (0, 1, 2, 3, 7, 4, 5, 6)),
+        (named_graph("k33"), (0, 3, 1, 4, 2, 5)),
+        (named_graph("k4"), (0, 1, 2, 3)),
+        (named_graph("prism3"), (0, 1, 2, 5, 3, 4)),
+        (named_graph("star_loops"), None),
+        (named_graph("theta_loop"), (0, 1, 2, 3)),
+        (_rand_cubic(20, 7), (0, 9, 8, 2, 5, 1, 19, 11, 18, 6, 3, 4, 15, 17,
+                              16, 10, 13, 12, 14, 7)),
+        (_rand_cubic(40, 11), (0, 1, 7, 6, 19, 21, 14, 3, 4, 13, 37, 38, 15,
+                               27, 5, 39, 25, 24, 17, 26, 18, 10, 32, 12, 36,
+                               8, 29, 28, 22, 30, 16, 33, 23, 20, 11, 31, 34,
+                               35, 2, 9)),
+    ])
+    def test_paths_are_pinned(self, X, want):
+        # the search order (fewest unvisited neighbours first, then
+        # index) decides which path is returned
+        assert find_hamilton_path(X) == want
+
     def test_random_cubic_paths(self):
         for trial in range(20):
             X = _rand_cubic(10 + 2 * trial, 400 + trial)

@@ -18,6 +18,22 @@ def fx(name):
     return str(fixture_path(name))
 
 
+class TestOptions:
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "g.json", "--seed", "1"),
+        ("bands", "c.json", "--tolerance", "1e-3"),
+        ("search", "--threshold", "0.1"),
+    ])
+    def test_options_nothing_reads_are_refused(self, argv):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+
+    def test_tmap_keeps_its_tolerance(self):
+        args = cli.build_parser().parse_args(
+            ["tmap", "g.json", "--tolerance", "1e-3"])
+        assert cli._config(args).tolerance == 1e-3
+
+
 class TestSpectrum:
     def test_k4(self, tmp_path, capsys):
         assert run("spectrum", fx("k4.json"), "--out", tmp_path) == 0
@@ -153,8 +169,8 @@ class TestSearch:
         assert digests == {
             "catalog.jsonl": "80de20c71d128976afb975dd617b8b33"
                              "32f4cd3db05b9f85c34904c633381c42",
-            "search_report.json": "9bd83a98ab510d64c5bdea97b20b0bed"
-                                  "55c987c9c8bc467e058c7d1ea6c68aba",
+            "search_report.json": "e10659cc2cd053cca696aff0759b9b6d"
+                                  "330ebb7913ac92507f59cca2ebf85299",
         }
 
     def test_half_loop_seed_exits_4(self, tmp_path, capsys):
@@ -228,9 +244,9 @@ class TestCertify:
 
     @pytest.mark.parametrize("argv,digest", [
         (("--target", "(-1,1)"),
-         "649b957b7d8c607804e6ff86ad0292aaefd8448b5e23e6d1fd2654594aa14c55"),
+         "a4eaa29c97efa444a64036f3fe023c4a121f8cbce9cdf582ef022fdda36f8b9b"),
         (("--target", "(-2,0)", "--exact"),
-         "560532f7c045241c6791db8fa122bc1210362b77e1c3183b17872cdb87bb9784"),
+         "0484b0d54458ab3524fdeb52e356a23c6312b1a212fffe3133651750ae7a16b3"),
     ])
     def test_certificate_bytes_are_pinned(self, tmp_path, argv, digest):
         assert run("certify", *argv, "--out", tmp_path) == 0

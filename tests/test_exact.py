@@ -8,7 +8,6 @@ from cubicgaps.certifier.exact import (QuadExt, char_poly, eval_poly,
                                        quadratic_factors, rank_over_field,
                                        rational_kernel, rational_roots,
                                        split_spectrum)
-from cubicgaps.certifier.bounds import _int_adjacency
 from cubicgaps.certifier.touchpoint import _integer_touch_matrix
 from cubicgaps.covers.reference import prism_band_cover
 from cubicgaps.errors import BadInput
@@ -32,18 +31,18 @@ class TestQuadExt:
 
 class TestCharPoly:
     def test_k4(self):
-        A = _int_adjacency(named_graph("k4"))
+        A = named_graph("k4").adjacency().tolist()
         assert char_poly(A) == [Fraction(c) for c in (-3, -8, -6, 0, 1)]
 
     def test_eval_at_root(self):
-        A = _int_adjacency(named_graph("k4"))
+        A = named_graph("k4").adjacency().tolist()
         cp = char_poly(A)
         assert eval_poly(cp, Fraction(3)) == 0
         assert eval_poly(cp, Fraction(-1)) == 0
         assert eval_poly(cp, Fraction(0)) == Fraction(-3)
 
     def test_is_char_root(self):
-        A = _int_adjacency(named_graph("k4"))
+        A = named_graph("k4").adjacency().tolist()
         assert is_char_root(A, 3)
         assert is_char_root(A, -1)
         assert not is_char_root(A, 2)
@@ -52,16 +51,16 @@ class TestCharPoly:
 
 class TestSplitSpectrum:
     def test_k4(self):
-        A = _int_adjacency(named_graph("k4"))
+        A = named_graph("k4").adjacency().tolist()
         assert split_spectrum(A) == [(Fraction(-1), 3), (Fraction(3), 1)]
 
     def test_prism(self):
-        A = _int_adjacency(named_graph("prism3"))
+        A = named_graph("prism3").adjacency().tolist()
         assert split_spectrum(A) == [(Fraction(-2), 2), (Fraction(0), 2),
                                      (Fraction(1), 1), (Fraction(3), 1)]
 
     def test_k33(self):
-        A = _int_adjacency(named_graph("k33"))
+        A = named_graph("k33").adjacency().tolist()
         assert split_spectrum(A) == [(Fraction(-3), 1), (Fraction(0), 4),
                                      (Fraction(3), 1)]
 
@@ -93,7 +92,7 @@ class TestRootExtraction:
 
 class TestKernels:
     def test_rational_kernel_is_primitive_integer(self):
-        A = _int_adjacency(named_graph("k4"))
+        A = named_graph("k4").adjacency().tolist()
         shifted = [[(-1 if i == j else 0) - A[i][j] for j in range(4)]
                    for i in range(4)]
         basis = rational_kernel(shifted)
@@ -105,7 +104,7 @@ class TestKernels:
                        for i in range(4))
 
     def test_rank_over_field(self):
-        A = _int_adjacency(named_graph("k4"))
+        A = named_graph("k4").adjacency().tolist()
         shifted = [[(-1 if i == j else 0) - A[i][j] for j in range(4)]
                    for i in range(4)]
         assert rank_over_field(shifted) == 1

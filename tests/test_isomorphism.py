@@ -20,6 +20,7 @@ from cubicgaps.errors import BadInput
 from cubicgaps.graphcore import (
     Multigraph,
     are_isomorphic,
+    automorphisms,
     canonical_code,
     enumerate_cubic_multigraphs,
     named_graph,
@@ -28,7 +29,8 @@ from cubicgaps.graphcore import (
     spectrum,
 )
 from cubicgaps.graphcore.enumeration import _generate_raw
-from cubicgaps.graphcore.multigraph import _invariants, _match, _match_plan
+from cubicgaps.graphcore.multigraph import (_invariants, _isomorphisms,
+                                            _match_plan)
 
 SMALL = [G for n in (2, 4, 6, 8) for G in enumerate_cubic_multigraphs(n)]
 
@@ -74,6 +76,11 @@ def _to_nx(G):
 def _nx_isomorphic(G1, G2):
     return nx.is_isomorphic(_to_nx(G1), _to_nx(G2),
                             node_match=lambda a, b: a["half"] == b["half"])
+
+
+def _first(inv1, inv2):
+    """First permutation the matcher finds from inv1 onto inv2, or None."""
+    return next(_isomorphisms(_match_plan(*inv1), *inv2), None)
 
 
 def _disjoint_union(G1, G2):
@@ -155,9 +162,9 @@ def test_matcher_alone_is_exact_on_disconnected_inputs():
     triangles = _invariants(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     hexagon = _invariants(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
     assert sorted(triangles[2]) == sorted(hexagon[2])
-    assert not _match(_match_plan(*triangles), *hexagon)
-    assert not _match(_match_plan(*hexagon), *triangles)
-    assert _match(_match_plan(*triangles), *triangles)
+    assert _first(triangles, hexagon) is None
+    assert _first(hexagon, triangles) is None
+    assert _first(triangles, triangles) is not None
 
 
 @st.composite
@@ -187,7 +194,11 @@ def test_matcher_agrees_with_networkx_on_random_multigraphs(pair):
     inv1 = _invariants(G1.n, G1.edges, G1.half_loops)
     inv2 = _invariants(G2.n, G2.edges, G2.half_loops)
     if sorted(inv1[2]) == sorted(inv2[2]):
-        assert _match(_match_plan(*inv1), *inv2) == want
+        perm = _first(inv1, inv2)
+        assert (perm is not None) == want
+        if perm is not None:
+            image = permute(G1, perm)
+            assert (image.edges, image.half_loops) == (G2.edges, G2.half_loops)
 
 
 def test_matcher_checks_each_edge_multiplicity():
@@ -198,8 +209,31 @@ def test_matcher_checks_each_edge_multiplicity():
     inv1, inv2 = _invariants(6, G1), _invariants(6, G2)
     assert sorted(inv1[2]) == sorted(inv2[2])
     assert not _nx_isomorphic(Multigraph(6, G1), Multigraph(6, G2))
-    assert not _match(_match_plan(*inv1), *inv2)
-    assert not _match(_match_plan(*inv2), *inv1)
+    assert _first(inv1, inv2) is None
+    assert _first(inv2, inv1) is None
+
+
+@pytest.mark.parametrize("name,order", [
+    ("k4", 24), ("k33", 72), ("cube", 48), ("prism3", 12),
+    ("star_loops", 6), ("theta_loop", 2)])
+def test_automorphism_group_orders(name, order):
+    G = named_graph(name)
+    auts = list(automorphisms(G))
+    assert len(auts) == len(set(auts)) == order
+    assert tuple(range(G.n)) in auts
+
+
+@pytest.mark.parametrize("G", SMALL + HALF_LOOP_QUOTIENTS,
+                         ids=lambda G: G.name or f"n{G.n}")
+def test_automorphisms_agree_with_networkx(G):
+    H = _to_nx(G)
+    matcher = nx.algorithms.isomorphism.MultiGraphMatcher(
+        H, H, node_match=lambda a, b: a["half"] == b["half"])
+    want = {tuple(iso[v] for v in range(G.n))
+            for iso in matcher.isomorphisms_iter()}
+    got = list(automorphisms(G))
+    assert len(got) == len(set(got))
+    assert set(got) == want
 
 
 def test_canonical_code_node_cap_raises_bad_input():

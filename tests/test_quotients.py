@@ -185,6 +185,28 @@ class TestRingReflectionShape:
         assert sorted(sigma) == list(range(n))
         assert all(sigma[sigma[v]] == v for v in range(n))
 
+    def test_reflection_images_are_pinned(self):
+        plain = ring_reflection(doubled_cycle_cover(), 3, (3, 2, 1, 0), 1)
+        assert plain == (7, 6, 5, 4, 3, 2, 1, 0, 11, 10, 9, 8)
+        assert ring_reflection(doubled_cycle_cover(), 3, (3, 2, 1, 0), 1,
+                               shifts=(0, 0, 0, 0)) == plain
+        shifted = ring_reflection(prism_band_cover(), 4, (4, 5, 3, 2, 0, 1),
+                                  1, shifts=(0, 0, 1, 1, 0, 0))
+        assert shifted == (10, 11, 15, 14, 6, 7, 4, 5, 9, 8, 0, 1,
+                           22, 23, 3, 2, 18, 19, 16, 17, 21, 20, 12, 13)
+
+    def test_shifted_reflection_is_free_involutive_automorphism(self):
+        # the prism ring reverses its links only after the deck shifts
+        rho, shifts = (4, 5, 3, 2, 0, 1), (0, 0, 1, 1, 0, 0)
+        for decks in (4, 6):
+            R = cyclic_quotient(prism_band_cover(), decks)
+            sigma = ring_reflection(prism_band_cover(), decks, rho, 1,
+                                    shifts=shifts)
+            assert is_automorphism(R, sigma)
+            assert all(sigma[sigma[v]] == v != sigma[v] for v in range(R.n))
+            assert not is_automorphism(
+                R, ring_reflection(prism_band_cover(), decks, rho, 1))
+
     def test_two_cell_fold_of_cube(self):
         # the cube is the 2-cell ring; folding it halves to 4 vertices
         R = cyclic_quotient(doubled_cycle_cover(), 2)

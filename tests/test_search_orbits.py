@@ -14,10 +14,11 @@ from search_oracle import brute_orbit_firsts, oracle_search_covers
 from cubicgaps.covers import bands, gap_report, iter_search_covers, search
 from cubicgaps.covers.periodic import GapReport
 from cubicgaps.covers.quotients import is_automorphism
-from cubicgaps.covers.search import (_automorphisms, _dedup_key, _orbit_firsts,
+from cubicgaps.covers.search import (_dedup_key, _orbit_firsts,
                                      _planar_quotients)
 from cubicgaps.dynamics.intervals import IntervalSet
-from cubicgaps.graphcore import Multigraph, enumerate_cubic_multigraphs
+from cubicgaps.graphcore import (Multigraph, automorphisms,
+                                 enumerate_cubic_multigraphs)
 
 SMALL_CELLS = [G for n in (2, 4, 6) for G in enumerate_cubic_multigraphs(n)]
 
@@ -44,7 +45,7 @@ class TestOrbitHelper:
     def test_automorphisms_match_all_permutations(self, G):
         brute = {p for p in itertools.permutations(range(G.n))
                  if is_automorphism(G, p)}
-        got = list(_automorphisms(G))
+        got = list(automorphisms(G))
         assert len(got) == len(set(got))
         assert set(got) == brute
 
@@ -123,6 +124,15 @@ class TestSkipKeepsRows:
         seeds = enumerate_cubic_multigraphs(6)
         assert _rows(iter_search_covers(seeds, rank=2, N=32)) == \
             _rows(oracle_search_covers(seeds, rank=2, N=32))
+
+    def test_joint_search_splits_by_cell_size(self):
+        # the shared `small_cell_search` fixture relies on this split
+        four = enumerate_cubic_multigraphs(4)
+        six = enumerate_cubic_multigraphs(6)
+        joint = list(iter_search_covers(four + six, rank=2, N=64))
+        for n, cells in ((4, four), (6, six)):
+            assert _rows(e for e in joint if e.base.n == n) == \
+                _rows(iter_search_covers(cells, rank=2, N=64))
 
 
 def _report(intervals=(), points=()):
