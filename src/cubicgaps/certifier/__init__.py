@@ -1,7 +1,7 @@
 """Exact gap certificates and spectral distance bounds."""
 
 from .exact import (QuadExt, char_poly, is_char_root, rational_kernel,
-                    quad_kernel, rank_over_field, split_spectrum)
+                    rank_over_field, split_spectrum)
 from .touchpoint import (GapCertificate, certify_touchpoint, cover_id,
                          exact_eigenpairs, locate_touch_angle,
                          verify_band_extremum, verify_certificate,
@@ -16,7 +16,6 @@ __all__ = [
     "char_poly",
     "is_char_root",
     "rational_kernel",
-    "quad_kernel",
     "rank_over_field",
     "split_spectrum",
     "GapCertificate",

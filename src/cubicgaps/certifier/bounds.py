@@ -40,6 +40,7 @@ find_hamilton_path and the fixed-end segment paths.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,6 +139,17 @@ def _unit_w(lam: float) -> complex:
     return complex(lam / 2.0, math.sqrt(max(0.0, 4.0 - lam * lam)) / 2.0)
 
 
+def _test_residual(X: Multigraph, order, lam: float):
+    """(f, A, r): the test function f(v_k) = w^k along order (zero off
+    it), the adjacency matrix A and the residual r = A f - lam f."""
+    w = _unit_w(lam)
+    f = np.zeros(X.n, dtype=complex)
+    for k, v in enumerate(order):
+        f[v] = w ** k
+    A = X.adjacency()
+    return f, A, A @ f - lam * f
+
+
 def _check_path(X: Multigraph, path) -> None:
     if sorted(path) != list(range(X.n)):
         raise BadInput("path must visit every vertex exactly once")
@@ -162,12 +174,7 @@ def hampath_bound(X: Multigraph, lam: float, path) -> dict:
     path = tuple(path)
     _check_path(X, path)
     n = X.n
-    w = _unit_w(lam)
-    f = np.zeros(n, dtype=complex)
-    for k, v in enumerate(path):
-        f[v] = w ** k
-    A = X.adjacency()
-    r = A @ f - lam * f
+    f, _, r = _test_residual(X, path, lam)
     norm2 = float(np.vdot(f, f).real)
     res2 = float(np.vdot(r, r).real)
     if res2 > n + 16 + 1e-6:
@@ -281,23 +288,13 @@ def _segment_hamilton(adj, core, candidates, alpha, beta, fallback):
     embeds any candidate."""
     cand = sorted(candidates)
     for drop in range(len(cand) + 1):
-        for skipped in _subsets(cand, drop):
+        for skipped in itertools.combinations(cand, drop):
             use = [c for c in cand if c not in skipped]
             verts = set(core) | set(use)
             order = _hamilton(adj, verts, alpha, beta, [100_000])
             if order is not None:
                 return order, tuple(u for u in use)
     return list(fallback), ()
-
-
-def _subsets(items, k):
-    """All k-element subsets in deterministic order."""
-    if k == 0:
-        yield ()
-        return
-    for i, x in enumerate(items):
-        for rest in _subsets(items[i + 1:], k - 1):
-            yield (x,) + rest
 
 
 _TAG_BY_CONTENT = {
@@ -606,12 +603,7 @@ def geodesic_bound(X: Multigraph, lam: float) -> dict:
     dec = decompose_geodesic(X)
     order = dec.order
     n = X.n
-    w = _unit_w(lam)
-    f = np.zeros(n, dtype=complex)
-    for k, v in enumerate(order):
-        f[v] = w ** k
-    A = X.adjacency()
-    r = A @ f - lam * f
+    f, A, r = _test_residual(X, order, lam)
     res2_all = float(np.vdot(r, r).real)
     size = len(order)
     if res2_all > size + 18 + 1e-6:

@@ -1,13 +1,15 @@
-"""Exact linear algebra over the rationals and real quadratic fields.
+"""Exact linear algebra over the rationals, with quadratic-integer roots.
 
-Results are certificates rather than approximations.  The rational
-side runs on Python integers: a rational matrix is first scaled by the
+Results are certificates rather than approximations, and all of them
+come from Python integers: a rational matrix is first scaled by the
 lcm of its denominators, characteristic polynomials come from the
 Faddeev-LeVerrier recursion on integer rows, ranks and kernels from a
 fraction-free Gauss-Jordan elimination that keeps every row primitive,
 and spectra split into rational roots plus integer quadratic factors
-x^2 - s*x + p.  Values cross the public boundary as Fractions.  Only
-elimination over Q(sqrt(d)) works on pairs of Fractions p + q*sqrt(d).
+x^2 - s*x + p.  A quadratic value (a + b*sqrt(d))/2 is a root of a
+rational polynomial exactly when its minimal polynomial divides it, so
+no arithmetic in Q(sqrt(d)) is needed.  Values cross the public
+boundary as Fractions.
 """
 
 from __future__ import annotations
@@ -28,15 +30,15 @@ __all__ = [
     "quadratic_factors",
     "split_spectrum",
     "rational_kernel",
-    "quad_kernel",
     "rank_over_field",
 ]
 
 
 @dataclass(frozen=True)
 class QuadExt:
-    """The real quadratic integer (a + b*sqrt(d)) / 2 with d > 1 square
-    free; serializes as the triple (a, b, d)."""
+    """The real quadratic number (a + b*sqrt(d)) / 2 with d > 1 not a
+    square (split_spectrum emits integers with d square free);
+    serializes as the triple (a, b, d)."""
 
     a: int
     b: int
@@ -52,9 +54,12 @@ class QuadExt:
     def conjugate(self) -> "QuadExt":
         return QuadExt(self.a, -self.b, self.d)
 
-    def as_pair(self):
-        """(p, q) with value p + q*sqrt(d), as Fractions."""
-        return Fraction(self.a, 2), Fraction(self.b, 2)
+    def min_poly(self):
+        """(s, p) with x^2 - s*x + p the monic polynomial whose roots are
+        this value and its conjugate: the minimal polynomial over Q when
+        b != 0.  p is a Fraction, an integer exactly when the value is an
+        algebraic integer."""
+        return self.a, Fraction(self.a * self.a - self.b * self.b * self.d, 4)
 
     def __float__(self) -> float:
         return (self.a + self.b * math.sqrt(self.d)) / 2.0
@@ -245,15 +250,18 @@ def split_spectrum(A):
 
 
 def _is_poly_root(coeffs, value) -> bool:
-    """Whether value (Fraction-like or QuadExt) is a root of the
-    polynomial with the given coefficients (constant term first)."""
+    """Whether value (Fraction-like or QuadExt) is a root of the rational
+    polynomial with the given coefficients (constant term first).
+
+    A QuadExt with b != 0 is irrational, since d is not a square, so it
+    is a root exactly when its minimal polynomial divides the
+    polynomial, which one exact division decides.  A QuadExt with b == 0
+    is the rational a/2."""
     if isinstance(value, QuadExt):
-        F = _QF(value.d)
-        x = value.as_pair()
-        acc = (coeffs[-1], Fraction(0))
-        for c in reversed(coeffs[:-1]):
-            acc = F.add(F.mul(acc, x), (c, Fraction(0)))
-        return F.is_zero(acc)
+        if value.b:
+            _, r1, r0 = _divide_quadratic(coeffs, *value.min_poly())
+            return r1 == 0 and r0 == 0
+        value = Fraction(value.a, 2)
     return eval_poly(coeffs, Fraction(value)) == 0
 
 
@@ -275,34 +283,6 @@ def _squarefree(m: int) -> int:
             out *= k
         k += 1
     return out * m
-
-
-class _QF:
-    """Arithmetic in Q(sqrt(d)) on (p, q) Fraction pairs."""
-
-    def __init__(self, d: int):
-        self.d = d
-
-    def add(self, x, y):
-        return (x[0] + y[0], x[1] + y[1])
-
-    def sub(self, x, y):
-        return (x[0] - y[0], x[1] - y[1])
-
-    def mul(self, x, y):
-        return (x[0] * y[0] + self.d * x[1] * y[1],
-                x[0] * y[1] + x[1] * y[0])
-
-    def div(self, x, y):
-        nrm = y[0] * y[0] - self.d * y[1] * y[1]
-        if nrm == 0:
-            raise ZeroDivisionError
-        inv = (y[0] / nrm, -y[1] / nrm)
-        return self.mul(x, inv)
-
-    @staticmethod
-    def is_zero(x):
-        return x[0] == 0 and x[1] == 0
 
 
 def _int_echelon(rows):
@@ -344,43 +324,11 @@ def _int_echelon(rows):
     return rank, pivots
 
 
-def _echelon(rows, field):
-    """Row echelon in place over the _QF field.
-    Returns (rank, pivot_columns)."""
-    if not rows:
-        return 0, []
-    m, n = len(rows), len(rows[0])
-    rank = 0
-    pivots = []
-    for col in range(n):
-        pivot = next((r for r in range(rank, m)
-                      if not field.is_zero(rows[r][col])), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [field.div(x, pv) for x in rows[rank]]
-        for r in range(m):
-            if r != rank and not field.is_zero(rows[r][col]):
-                f = rows[r][col]
-                rows[r] = [field.sub(x, field.mul(f, y))
-                           for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == m:
-            break
-    return rank, pivots
-
-
-def rank_over_field(A, d: int | None = None) -> int:
-    if d is None:
-        _, rows = _scaled_int_rows(A)
-        rank, _ = _int_echelon(rows)
-    else:
-        rows = [[x if isinstance(x, tuple) else (Fraction(x), Fraction(0))
-                 for x in row] for row in A]
-        rank, _ = _echelon(rows, _QF(d))
-    return rank
+def rank_over_field(A) -> int:
+    """Rank of a rational matrix, by fraction-free elimination on the
+    integer rows of D*A."""
+    _, rows = _scaled_int_rows(A)
+    return _int_echelon(rows)[0]
 
 
 def _primitive(ints) -> tuple:
@@ -413,36 +361,4 @@ def rational_kernel(A) -> list:
         for r, pc in enumerate(pivots):
             v[pc] = -rows[r][fc] * (L // rows[r][pc])
         basis.append(_primitive(v))
-    return basis
-
-
-def quad_kernel(A, lam: QuadExt) -> list:
-    """Kernel basis of (A - lam I) over Q(sqrt(d)), vectors scaled so
-    all entries are (integer, integer) pairs meaning p + q*sqrt(d)."""
-    d = lam.d
-    F = _QF(d)
-    lp, lq = lam.as_pair()
-    n = len(A)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            val = (Fraction(A[i][j]), Fraction(0))
-            if i == j:
-                val = F.sub(val, (lp, lq))
-            row.append(val)
-        rows.append(row)
-    rank, pivots = _echelon(rows, F)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [(Fraction(0), Fraction(0))] * n
-        v[fc] = (Fraction(1), Fraction(0))
-        for r, pc in enumerate(pivots):
-            v[pc] = F.sub((Fraction(0), Fraction(0)), rows[r][fc])
-        den = 1
-        for p, q in v:
-            for x in (p, q):
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        basis.append(tuple((int(p * den), int(q * den)) for p, q in v))
     return basis

@@ -29,7 +29,6 @@ from ..covers.periodic import (
     _FLAT_TOL,
     PeriodicGraph,
     bands,
-    flat_values,
     gap_report,
     offset_split,
     twisted_adjacency,
@@ -181,25 +180,23 @@ def locate_touch_angle(P: PeriodicGraph, N: int = 512) -> float:
     return snapped
 
 
+def _characters(thetas) -> np.ndarray:
+    """Rank-1 character stack of shape (S, 1), one e^(i theta) per
+    angle."""
+    return np.array([[complex(math.cos(t), math.sin(t))] for t in thetas])
+
+
 def verify_transpose_symmetry(P: PeriodicGraph, theta_t: float,
                               deltas=(0.1, 0.7, 2.0)) -> bool:
     """A(theta_t + d) must equal A(theta_t - d) transposed, entrywise to
-    1e-12, for every offset d."""
+    1e-12, for every offset d; all 2 * len(deltas) matrices come from
+    one stacked evaluation."""
     if P.rank != 1:
         raise BadInput("transpose symmetry check needs a rank-1 cover")
-    for d in deltas:
-        left = twisted_adjacency(P, (complex(math.cos(theta_t + d),
-                                             math.sin(theta_t + d)),))
-        right = twisted_adjacency(P, (complex(math.cos(theta_t - d),
-                                              math.sin(theta_t - d)),))
-        if np.abs(left - right.T).max() > 1e-12:
-            return False
-    return True
-
-
-def _sorted_eigs(P: PeriodicGraph, theta: float):
-    z = complex(math.cos(theta), math.sin(theta))
-    return np.linalg.eigvalsh(twisted_adjacency(P, (z,)))
+    k = len(deltas)
+    A = twisted_adjacency(P, _characters(
+        [theta_t + d for d in deltas] + [theta_t - d for d in deltas]))
+    return bool(np.all(np.abs(A[:k] - A[k:].transpose(0, 2, 1)) <= 1e-12))
 
 
 def verify_band_extremum(P: PeriodicGraph, theta_t: float,
@@ -222,9 +219,10 @@ def verify_band_extremum(P: PeriodicGraph, theta_t: float,
         raise BadInput("band extremum check needs a rank-1 cover")
     if h <= 0 or h > 0.1:
         raise BadInput("step must lie in (0, 0.1]")
-    at = {s: _sorted_eigs(P, theta_t + s)
-          for s in (0.0, h, -h, h / 2, -h / 2)}
-    stencil = np.stack([at[s] for s in (0.0, h, -h, h / 2, -h / 2)])
+    steps = (0.0, h, -h, h / 2, -h / 2)
+    stencil = np.linalg.eigvalsh(twisted_adjacency(
+        P, _characters([theta_t + s for s in steps])))
+    at = dict(zip(steps, stencil))
     locally_flat = (stencil.max(axis=0) - stencil.min(axis=0)) < _FLAT_TOL
     report = []
     for j in range(stencil.shape[1]):
@@ -278,10 +276,13 @@ def exact_eigenpairs(P: PeriodicGraph, theta_t: float) -> list:
 
 
 def _check_claimed(A, claimed):
-    """Exact eigen-equation, independence and completeness checks.
+    """Exact eigen-equation, independence and completeness checks, all
+    on Python ints.
 
-    Raises RefusedCertificate with the index of the first claimed pair
-    involved in a failure.
+    A rational eigenvalue of an integer matrix is an integer, so a
+    claimed lambda with a denominator is refused at its own index before
+    the eigen-equation is multiplied out.  Raises RefusedCertificate
+    with the index of the first claimed pair involved in a failure.
     """
     n = len(A)
     if len(claimed) != n:
@@ -304,6 +305,11 @@ def _check_claimed(A, claimed):
         if all(x == 0 for x in ivec):
             raise RefusedCertificate(f"vector {idx} is zero",
                                      failing_index=idx)
+        if lam.denominator != 1:
+            raise RefusedCertificate(
+                f"lambda={lam} of pair {idx} is not an integer, so it is "
+                "no eigenvalue of an integer matrix", failing_index=idx)
+        lam = lam.numerator
         for i in range(n):
             lhs = sum(A[i][j] * ivec[j] for j in range(n))
             if lhs != lam * ivec[i]:
@@ -319,7 +325,7 @@ def _check_claimed(A, claimed):
             raise RefusedCertificate(
                 f"claimed vectors for lambda={lam} are dependent "
                 f"(rank {vec_rank} < {mult})", failing_index=group[0][0])
-        shifted = [[Fraction(lam if i == j else 0) - A[i][j]
+        shifted = [[(lam if i == j else 0) - A[i][j]
                     for j in range(n)] for i in range(n)]
         if rank_over_field(shifted) != n - mult:
             raise RefusedCertificate(
@@ -330,7 +336,6 @@ def _check_claimed(A, claimed):
     if total != n:
         raise RefusedCertificate("claimed multiplicities do not sum to n",
                                  failing_index=len(claimed) - 1)
-    return by_lambda
 
 
 def _exact_gap_endpoints(P: PeriodicGraph, N: int = 256):
@@ -365,25 +370,20 @@ def certify_touchpoint(P: PeriodicGraph, theta_t: float,
                        claimed: list) -> GapCertificate:
     """Certify the full spectrum of A(theta_t) from claimed eigenpairs.
 
-    Exact checks (refusal on failure): every A v = lambda v in integer
-    arithmetic, claimed vectors independent per eigenvalue, and for each
-    claimed lambda the rank of lambda*I - A equals n minus the claimed
-    multiplicity, so the multiset is the complete spectrum.  Flat-band
-    values must appear among the claimed eigenvalues.  Numerical
-    side-checks (transpose symmetry, band extrema) are recorded in the
-    certificate; gap endpoints are matched to exact touch-angle
-    eigenvalues.
+    Exact checks (refusal on failure), all in integer arithmetic: every
+    claimed lambda is an integer, every A v = lambda v, claimed vectors
+    are independent per eigenvalue, and for each claimed lambda the rank
+    of lambda*I - A equals n minus the claimed multiplicity, so the
+    multiset is the complete spectrum.  That also places every flat band
+    among the claimed values, so no flat-band check follows: the band
+    grid contains theta_t, a sampled flat value lies within 1e-9 of an
+    eigenvalue of A(theta_t), and completeness proves that eigenvalue
+    claimed.  Numerical side-checks (transpose symmetry, band
+    extrema) are recorded in the certificate; gap endpoints are matched
+    to exact touch-angle eigenvalues.
     """
     A = _integer_touch_matrix(P, theta_t)
-    by_lambda = _check_claimed(A, claimed)
-    flats = [fv for fv, _ in flat_values(bands(P, N=128).values)]
-    for fv in flats:
-        hit = next((lam for lam in by_lambda
-                    if abs(float(lam) - fv) <= _ENDPOINT_MATCH), None)
-        if hit is None:
-            raise RefusedCertificate(
-                f"flat-band value {fv:.9f} missing from claimed spectrum",
-                failing_index=len(claimed) - 1)
+    _check_claimed(A, claimed)
     symmetry_ok = verify_transpose_symmetry(P, theta_t)
     extremum_report = verify_band_extremum(P, theta_t)
     if not all(row["ok"] for row in extremum_report):
@@ -420,9 +420,12 @@ def verify_certificate(doc: dict) -> GapCertificate:
     """Re-verify a serialized certificate in exact arithmetic.
 
     Rebuilds the cover, re-runs every exact check on the stored
-    eigenpairs, and confirms each stored gap endpoint is +-3 or an exact
-    eigenvalue at one of the touch angles.  Floating-point state never
-    enters the decision.
+    eigenpairs, which proves them the complete spectrum at the touch
+    angle, and confirms each stored gap endpoint is +-3 or an exact
+    eigenvalue at one of the touch angles: a rational endpoint by
+    evaluating the touch-angle characteristic polynomial, a quadratic
+    one by dividing that polynomial by the endpoint's minimal
+    polynomial.  Floating-point state never enters the decision.
     """
     if doc.get("format") != CERT_FORMAT:
         raise BadInput("not a gap certificate document")

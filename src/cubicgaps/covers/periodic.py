@@ -8,9 +8,9 @@ read the cover, and everything else goes through them:
 - offset_split, the integer per-offset split {o: B_o}, where B_o counts
   the stored edges (u <= v) that carry offset o.  The twisted adjacency
   at a unit-modulus character z is A(z) = M(z) + M(z)^H with
-  M(z) = sum_o z^o B_o.  twisted_adjacency evaluates it at one z, bands
-  over the whole torus grid, and the touch-point certifier exactly at
-  z = +-1.
+  M(z) = sum_o z^o B_o.  twisted_adjacency evaluates it at one z or a
+  stack of them, bands over the whole torus grid, and the touch-point
+  certifier exactly at z = +-1.
 - lift, the finite quotient with deck group Z/n or Z/n1 x Z/n2 (a
   voltage-graph lift, Gross & Tucker).  cyclic_quotient and
   torus_quotient are lifts, and so is the connectivity check.  A
@@ -147,13 +147,18 @@ def twisted_adjacency(P: PeriodicGraph, z) -> np.ndarray:
     number per axis).  An edge with offset o contributes z^o at (u, v)
     and its conjugate at (v, u); a wrapped loop contributes both to the
     diagonal, so at z = 1 this reduces to the one-cell cyclic quotient's
-    adjacency matrix (plain loops counting 2)."""
+    adjacency matrix (plain loops counting 2).
+
+    z of shape (rank,) gives one (n, n) matrix; a stack of shape
+    (S, rank) gives the (S, n, n) matrices from one evaluation, each
+    equal byte for byte to its own single-character call."""
     zv = np.atleast_1d(np.asarray(z, dtype=complex))
-    if zv.shape != (P.rank,):
+    single = zv.shape == (P.rank,)
+    if not single and (zv.ndim != 2 or zv.shape[1] != P.rank):
         raise BadInput(f"need {P.rank} character value(s)")
     if np.any(np.abs(np.abs(zv) - 1.0) > 1e-9):
         raise BadInput("character values must have modulus 1")
-    return _evaluate(P, zv[None, :])[0]
+    return _evaluate(P, zv[None, :])[0] if single else _evaluate(P, zv)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,11 @@ The Fraction implementations that `cubicgaps.certifier.exact` and
 the Faddeev-LeVerrier recursion over Fractions, the root and quadratic
 factor extraction on Fraction coefficients that `split_spectrum` runs on
 its output, Gauss-Jordan elimination over Fractions for rank and kernel,
-and the Fekete product prod(A - c*I) expanded as a full Fraction matrix.  The tests require the
-library to give equal outputs.
+the Fekete product prod(A - c*I) expanded as a full Fraction matrix, and
+the evaluation of a polynomial at a QuadExt in Q(sqrt(d)) arithmetic on
+Fraction pairs p + q*sqrt(d) that the exact root test replaced with a
+division by the minimal polynomial.  The tests require the library to
+give equal outputs.
 """
 
 from __future__ import annotations
@@ -57,6 +60,38 @@ def eval_poly(coeffs, x):
     for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc
+
+
+class _QF:
+    """Arithmetic in Q(sqrt(d)) on (p, q) Fraction pairs."""
+
+    def __init__(self, d: int):
+        self.d = d
+
+    def add(self, x, y):
+        return (x[0] + y[0], x[1] + y[1])
+
+    def mul(self, x, y):
+        return (x[0] * y[0] + self.d * x[1] * y[1],
+                x[0] * y[1] + x[1] * y[0])
+
+    @staticmethod
+    def is_zero(x):
+        return x[0] == 0 and x[1] == 0
+
+
+def is_poly_root(coeffs, value) -> bool:
+    """Whether value (Fraction-like or QuadExt) is a root of the
+    polynomial with the given coefficients (constant term first), by
+    Horner evaluation in Q(sqrt(d))."""
+    if isinstance(value, QuadExt):
+        F = _QF(value.d)
+        x = (Fraction(value.a, 2), Fraction(value.b, 2))
+        acc = (Fraction(coeffs[-1]), Fraction(0))
+        for c in reversed(coeffs[:-1]):
+            acc = F.add(F.mul(acc, x), (Fraction(c), Fraction(0)))
+        return F.is_zero(acc)
+    return eval_poly(coeffs, Fraction(value)) == 0
 
 
 def _deflate(coeffs, root: Fraction) -> list:

@@ -55,16 +55,51 @@ def test_reference_covers_bit_equal(P):
             oracle_twisted_adjacency(P, z).tobytes()
 
 
+RANK2 = PeriodicGraph.from_links(4, [(0, 1, (1, 1)), (0, 1, (0, 0)),
+                                     (0, 2, (-1, 0)), (1, 3, (0, 0)),
+                                     (2, 3, (2, 0)), (2, 3, (0, 1))], rank=2)
+
+
 def test_large_offsets_agree_to_rounding():
     # z1^2 and z1^-1 are powers of exp(i theta1), where the per-edge
     # loop took exp(i (o1 theta1 + o2 theta2)); the two differ by ulps
-    P = PeriodicGraph.from_links(4, [(0, 1, (1, 1)), (0, 1, (0, 0)),
-                                     (0, 2, (-1, 0)), (1, 3, (0, 0)),
-                                     (2, 3, (2, 0)), (2, 3, (0, 1))], rank=2)
+    P = RANK2
     assert np.abs(bands(P, 32).values - oracle_band_values(P, 32)).max() < 1e-12
     for z in ([np.exp(0.3j), np.exp(-1.9j)], [-1.0, 1j]):
         assert np.abs(twisted_adjacency(P, z)
                       - oracle_twisted_adjacency(P, z)).max() < 1e-12
+
+
+def _stack(rank, thetas):
+    """Characters of shape (S, rank): axis k turns at (k + 1) * theta."""
+    return np.array([[complex(math.cos(k * t), math.sin(k * t))
+                      for k in range(1, rank + 1)] for t in thetas])
+
+
+@pytest.mark.parametrize("P", [prism_band_cover(), doubled_cycle_cover(),
+                               RANK2], ids=lambda P: P.name or "rank-2")
+def test_stacked_twisted_adjacency_is_per_character_bytes(P):
+    # verify_transpose_symmetry and verify_band_extremum evaluate their
+    # angles in one stack and read the same bytes as one call per angle
+    z = _stack(P.rank, (0.0, math.pi, 0.1, -0.1, 2.0, 1e-3, -5e-4))
+    A = twisted_adjacency(P, z)
+    assert A.shape == (len(z), P.base.n, P.base.n)
+    for zi, Ai in zip(z, A):
+        assert Ai.tobytes() == twisted_adjacency(P, zi).tobytes()
+    assert np.linalg.eigvalsh(A).tobytes() == np.stack(
+        [np.linalg.eigvalsh(twisted_adjacency(P, zi)) for zi in z]).tobytes()
+
+
+@pytest.mark.parametrize("P, shape", [
+    (prism_band_cover(), (3, 2)),
+    (prism_band_cover(), (3,)),
+    (prism_band_cover(), (2, 1, 1)),
+    (RANK2, (3, 1)),
+    (RANK2, (1, 3)),
+])
+def test_stack_with_wrong_shape_is_refused(P, shape):
+    with pytest.raises(BadInput, match="character value"):
+        twisted_adjacency(P, np.ones(shape, dtype=complex))
 
 
 def test_parallel_edges_with_mixed_offsets_agree_to_rounding():
@@ -148,3 +183,15 @@ def test_touch_matrix_is_the_rounded_float_assembly(P, s):
     A = _integer_touch_matrix(P, 0.0 if s == 1 else math.pi)
     assert all(type(x) is int for row in A for x in row)
     assert A == np.rint(twisted_adjacency(P, [s]).real).astype(int).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((1, 2)).flatmap(
+    lambda r: st.tuples(covers(r), st.lists(st.floats(-4, 4), min_size=1,
+                                            max_size=6))))
+def test_stacked_twisted_adjacency_is_per_character_bytes_on_covers(case):
+    P, thetas = case
+    z = _stack(P.rank, thetas)
+    A = twisted_adjacency(P, z)
+    for zi, Ai in zip(z, A):
+        assert Ai.tobytes() == twisted_adjacency(P, zi).tobytes()

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from cubicgaps.certifier import (GapCertificate, certify_touchpoint,
                                  cover_id, exact_eigenpairs,
@@ -11,8 +13,10 @@ from cubicgaps.certifier import (GapCertificate, certify_touchpoint,
                                  verify_transpose_symmetry)
 from cubicgaps.certifier import touchpoint
 from cubicgaps.certifier.exact import QuadExt
+from cubicgaps.covers.periodic import PeriodicGraph, bands, flat_values
 from cubicgaps.covers.reference import doubled_cycle_cover, prism_band_cover
 from cubicgaps.errors import BadInput, RefusedCertificate
+from cubicgaps.graphcore import enumerate_cubic_multigraphs
 
 SQRT17 = math.sqrt(17.0)
 
@@ -157,6 +161,22 @@ class TestSerialization:
                            match="not an exact touch-angle"):
             verify_certificate(doc)
 
+    # gaps[0] is (-3, (-1 - sqrt(17))/2), stored as [-1, -1, 17]
+    @pytest.mark.parametrize("edit", [
+        (2, 13),   # d: (-1 - sqrt(13))/2
+        (0, 1),    # a: (1 - sqrt(17))/2
+        (1, 0),    # b = 0: the rational -1/2
+    ], ids=["d", "a", "b=0"])
+    def test_tampered_quadratic_endpoint_refused(self, wa_cert, edit):
+        _, _, cert = wa_cert
+        doc = json.loads(json.dumps(cert.to_json()))
+        assert doc["gaps"][0][1] == [-1, -1, 17]
+        field, value = edit
+        doc["gaps"][0][1][field] = value
+        with pytest.raises(RefusedCertificate,
+                           match="not an exact touch-angle eigenvalue"):
+            verify_certificate(doc)
+
     def test_tampered_cover_id_refused(self, wa_cert):
         _, _, cert = wa_cert
         doc = json.loads(json.dumps(cert.to_json()))
@@ -181,6 +201,20 @@ class TestRefusals:
             certify_touchpoint(P, theta, wrong)
         assert exc.value.failing_index == 0
 
+    def test_half_integer_eigenvalue_refused_at_its_index(self, wa_cert):
+        # a rational eigenvalue of an integer matrix is an integer
+        P, theta, cert = wa_cert
+        claimed = list(exact_eigenpairs(P, theta))
+        claimed[2] = (Fraction(1, 2), claimed[2][1])
+        with pytest.raises(RefusedCertificate, match="not an integer") as exc:
+            certify_touchpoint(P, theta, claimed)
+        assert exc.value.failing_index == 2
+        doc = json.loads(json.dumps(cert.to_json()))
+        doc["eigenpairs"][2][0] = "1/2"
+        with pytest.raises(RefusedCertificate, match="not an integer") as exc:
+            verify_certificate(doc)
+        assert exc.value.failing_index == 2
+
     def test_dependent_vectors_refused(self, wa_cert):
         P, theta, _ = wa_cert
         claimed = list(exact_eigenpairs(P, theta))
@@ -193,3 +227,34 @@ class TestRefusals:
         claimed = exact_eigenpairs(P, theta)
         with pytest.raises(RefusedCertificate):
             certify_touchpoint(P, theta, claimed[:-1])
+
+
+CELLS = [G for n in (2, 4, 6) for G in enumerate_cubic_multigraphs(n)]
+
+
+@st.composite
+def small_covers(draw):
+    """A connected rank-1 cover of a cubic cell on at most 6 vertices
+    with offsets in -1..1."""
+    base = draw(st.sampled_from(CELLS))
+    offsets = [(draw(st.integers(-1, 1)),) for _ in base.edges]
+    try:
+        return PeriodicGraph(base, 1, offsets)
+    except BadInput:  # a disconnected cover
+        reject()
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_covers())
+def test_complete_touch_spectrum_contains_every_flat_band(P):
+    # certify_touchpoint runs no flat-band check of its own: the grid
+    # holds both touch angles, so each flat value is an eigenvalue there
+    flats = [fv for fv, _ in flat_values(bands(P, 128).values)]
+    for theta in (0.0, math.pi):
+        try:
+            pairs = exact_eigenpairs(P, theta)
+        except BadInput:  # not an integral spectrum at this angle
+            continue
+        lams = {float(lam) for lam, _ in pairs}
+        for fv in flats:
+            assert min(abs(fv - lam) for lam in lams) <= 1e-9

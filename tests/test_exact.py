@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from cubicgaps.certifier.exact import (QuadExt, char_poly, eval_poly,
-                                       is_char_root, quad_kernel,
-                                       quadratic_factors, rank_over_field,
-                                       rational_kernel, rational_roots,
-                                       split_spectrum)
+                                       is_char_root, quadratic_factors,
+                                       rank_over_field, rational_kernel,
+                                       rational_roots, split_spectrum)
 from cubicgaps.certifier.touchpoint import _integer_touch_matrix
 from cubicgaps.covers.reference import prism_band_cover
 from cubicgaps.errors import BadInput
@@ -18,7 +17,13 @@ class TestQuadExt:
     def test_value_and_pair(self):
         x = QuadExt(-1, 1, 17)
         assert float(x) == pytest.approx((-1.0 + math.sqrt(17.0)) / 2.0)
-        assert x.as_pair() == (Fraction(-1, 2), Fraction(1, 2))
+        # x^2 + x - 4, the factor of the prism cover's polynomial at pi
+        assert x.min_poly() == (-1, -4)
+        assert x.min_poly() == x.conjugate().min_poly()
+        # 1 + sqrt(2) written over the non-squarefree d = 8
+        assert QuadExt(2, 1, 8).min_poly() == (2, -1)
+        # (1 + sqrt(2))/2 is not an algebraic integer
+        assert QuadExt(1, 1, 2).min_poly() == (1, Fraction(-1, 4))
         assert x.conjugate() == QuadExt(-1, -1, 17)
         assert x.to_json() == [-1, 1, 17]
 
@@ -47,6 +52,16 @@ class TestCharPoly:
         assert is_char_root(A, -1)
         assert not is_char_root(A, 2)
         assert is_char_root(A, Fraction(-1))
+
+    def test_is_char_root_on_quadratic_values(self):
+        A = _integer_touch_matrix(prism_band_cover(), math.pi)
+        assert is_char_root(A, QuadExt(-1, 1, 17))
+        assert is_char_root(A, QuadExt(-1, -1, 17))
+        assert not is_char_root(A, QuadExt(1, 1, 17))
+        assert not is_char_root(A, QuadExt(-1, 1, 13))
+        # b = 0 reads as the rational a/2
+        assert is_char_root(A, QuadExt(-4, 0, 17))
+        assert not is_char_root(A, QuadExt(-1, 0, 17))
 
 
 class TestSplitSpectrum:
@@ -109,23 +124,3 @@ class TestKernels:
                    for i in range(4)]
         assert rank_over_field(shifted) == 1
         assert rank_over_field(A) == 4
-
-    def test_quad_kernel_irrational_eigenvalue(self):
-        A = _integer_touch_matrix(prism_band_cover(), math.pi)
-        lam = QuadExt(-1, 1, 17)
-        basis = quad_kernel(A, lam)
-        assert len(basis) == 1
-        vec = basis[0]
-        # Check A v = lambda v numerically from the exact entries.
-        s17 = math.sqrt(17.0)
-        v = [p + q * s17 for p, q in vec]
-        lv = float(lam)
-        for i in range(6):
-            lhs = sum(A[i][j] * v[j] for j in range(6))
-            assert lhs == pytest.approx(lv * v[i], abs=1e-9)
-
-    def test_quad_kernel_conjugate(self):
-        A = _integer_touch_matrix(prism_band_cover(), math.pi)
-        assert len(quad_kernel(A, QuadExt(-1, -1, 17))) == 1
-        # A non-eigenvalue of the same field has trivial kernel.
-        assert quad_kernel(A, QuadExt(1, 1, 17)) == []

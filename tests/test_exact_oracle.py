@@ -16,7 +16,8 @@ import fraction_oracle as oracle
 from cubicgaps.certifier import (char_poly, fekete_finiteness,
                                  rank_over_field, rational_kernel,
                                  split_spectrum)
-from cubicgaps.certifier.exact import quadratic_factors, rational_roots
+from cubicgaps.certifier.exact import (QuadExt, _is_poly_root,
+                                       quadratic_factors, rational_roots)
 from cubicgaps.certifier.touchpoint import _integer_touch_matrix
 from cubicgaps.covers import PeriodicGraph
 from cubicgaps.errors import BadInput
@@ -129,6 +130,64 @@ def test_split_spectrum_matches_on_touch_matrices(A):
     got = split_spectrum(A)
     assert got == want
     assert [type(v) for v, _ in got] == [type(v) for v, _ in want]
+
+
+def _poly_mul(f, g):
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+# non-squares, squarefree or not: 8 = 4*2, 12 = 4*3, 18 = 9*2, 45 = 9*5
+DISCRIMINANTS = st.sampled_from((2, 3, 5, 8, 12, 13, 17, 18, 45))
+NUMBERS = st.one_of(st.integers(-6, 6), RATIONALS)
+
+
+@st.composite
+def quad_values(draw):
+    """A QuadExt with b == 0 at times and with a and b of any parity, so
+    its minimal polynomial need not be integral."""
+    return QuadExt(draw(st.integers(-7, 7)),
+                   draw(st.sampled_from((0, 1, -1, 2, -2, 3))),
+                   draw(DISCRIMINANTS))
+
+
+@st.composite
+def poly_and_value(draw):
+    """A product of integer and rational linear and quadratic factors,
+    constant term first, and a value to test as its root.  The value's
+    own minimal polynomial (or x - a/2 when b == 0), or that of its
+    conjugate, is a factor at times, so both verdicts occur."""
+    value = draw(st.one_of(quad_values(), NUMBERS))
+    poly = [draw(st.sampled_from((Fraction(1), Fraction(-2), Fraction(1, 3))))]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            poly = _poly_mul(poly, [-Fraction(draw(NUMBERS)), Fraction(1)])
+        else:
+            s, p = draw(NUMBERS), draw(NUMBERS)
+            poly = _poly_mul(poly, [Fraction(p), -Fraction(s), Fraction(1)])
+    if draw(st.booleans()):
+        root = value
+        if isinstance(value, QuadExt) and draw(st.booleans()):
+            root = value.conjugate()
+        if isinstance(root, QuadExt) and root.b:
+            # (a + b sqrt(d))/2 is a root of x^2 - a x + (a^2 - b^2 d)/4
+            factor = [Fraction(root.a ** 2 - root.b ** 2 * root.d, 4),
+                      Fraction(-root.a), Fraction(1)]
+        else:
+            r = Fraction(root.a, 2) if isinstance(root, QuadExt) else root
+            factor = [-Fraction(r), Fraction(1)]
+        poly = _poly_mul(poly, factor)
+    return poly, value
+
+
+@settings(max_examples=400, deadline=None)
+@given(poly_and_value())
+def test_root_test_matches_quadratic_field_evaluation(case):
+    poly, value = case
+    assert _is_poly_root(poly, value) is oracle.is_poly_root(poly, value)
 
 
 TARGETS = st.one_of(

@@ -1,0 +1,43 @@
+"""Every name a cubicgaps package or module exports resolves.
+
+The walk imports each submodule with pkgutil and reads its `__all__`,
+so deleting a function without its export fails here rather than at a
+user's import.
+"""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import cubicgaps
+
+
+def _modules():
+    yield cubicgaps
+    for info in pkgutil.walk_packages(cubicgaps.__path__, "cubicgaps."):
+        yield importlib.import_module(info.name)
+
+
+MODULES = list(_modules())
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    names = getattr(module, "__all__", ())
+    assert len(set(names)) == len(names)
+    missing = [name for name in names if not hasattr(module, name)]
+    assert missing == []
+
+
+def test_walk_reaches_every_subpackage():
+    names = {m.__name__ for m in MODULES}
+    for sub in ("certifier", "covers", "dynamics", "graphcore"):
+        assert f"cubicgaps.{sub}" in names
+
+
+def test_quadratic_field_kernel_is_not_exported():
+    # exact checks run on integers; Q(sqrt(d)) elimination is gone
+    for module in MODULES:
+        assert "quad_kernel" not in getattr(module, "__all__", ())
+        assert not hasattr(module, "quad_kernel")
