@@ -15,7 +15,9 @@ read the cover, and everything else goes through them:
   voltage-graph lift, Gross & Tucker).  cyclic_quotient and
   torus_quotient are lifts, and so is the connectivity check.  A
   lift's spectrum equals the twisted eigenvalues at the matching roots
-  of unity, which the tests verify.
+  of unity, which the tests verify.  derived_embedding lifts a planar
+  rotation system of the cell to every cyclic quotient at once, which
+  decides their planarity for every n.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 from ..dynamics.intervals import IntervalSet
 from ..errors import BadInput
 from ..graphcore.multigraph import Multigraph
+from ..graphcore.planarity import planar_rotations
 
 __all__ = [
     "PeriodicGraph",
@@ -43,6 +46,7 @@ __all__ = [
     "lift",
     "cyclic_quotient",
     "torus_quotient",
+    "derived_embedding",
 ]
 
 
@@ -54,10 +58,13 @@ class PeriodicGraph:
     stored edges satisfy u <= v and flipping an edge negates its offset.
 
     The cover must be connected.  That is decided on the 3-deck lift
-    (3 x 3 for rank 2), which is exact for offsets in {-1, 0, 1} but can
-    accept a disconnected cover with larger offsets: the doubled-cycle
-    base with offsets 0, 2, 0, 0, 0, 2 connects 3 decks, yet only reaches
-    the even cells, so its 4-deck quotient falls apart.
+    (3 x 3 for rank 2), which accepts every connected cover but also a
+    disconnected one whose cycle offsets share a common factor prime to
+    3, even with every offset in {-1, 0, 1}: the 2-vertex theta cell with
+    offsets 1, -1, 1 has cycle offsets 2 and 0, so it connects 3 decks
+    while lift(P, (2,)) splits in two.  Likewise the doubled-cycle base
+    with offsets 0, 2, 0, 0, 0, 2 only reaches the even cells, so its
+    4-deck quotient falls apart.
     """
 
     base: Multigraph
@@ -310,6 +317,45 @@ def lift(P: PeriodicGraph, decks) -> Multigraph:
     kind = "C" if P.rank == 1 else "T"
     return Multigraph(math.prod(decks) * bn, edges,
                       name=f"{P.name or 'cover'}/{kind}{'x'.join(map(str, decks))}")
+
+
+def derived_embedding(P: PeriodicGraph, rotations=None):
+    """The flips of the first planar rotation system of the cell whose
+    face walks carry net offsets exactly {+1, -1, 0, ..., 0}, or None.
+
+    rotations defaults to `planar_rotations(P.base)`; the cover search
+    enumerates them once per seed and passes them in.  Dart 2i carries
+    the offset of P.base.edges[i] and dart 2i+1 its negative, so a
+    face's net offset v_f is the sum over its darts.  Rank-2 covers
+    return None.
+
+    Proof that every cyclic quotient lift(P, (n,)) is then planar
+    (Gross & Tucker, Topological Graph Theory, 1987, ch. 4): the
+    rotation system lifts to a derived embedding of the quotient, in
+    which a face f of the cell lifts to gcd(v_f, n) faces (gcd(0, n) is
+    n).  The cell has V - E + F = 2, so the lift has Euler
+    characteristic chi = 2n - sum_f (n - gcd(v_f, n)).  The faces with
+    v_f = +-1 add n - 1 each and the others nothing, so chi = 2 for
+    every n >= 1.  A face walk is a closed walk, and one of net offset 1
+    reaches every deck of the connected cell's lift, so the quotient is
+    connected; an orientable connected surface with chi = 2 is the
+    sphere.
+
+    A disconnected cover has no face of net offset +-1, so it returns
+    None even when each of its quotients is a union of planar rings:
+    the theta cell with offsets 1, -1, 1, which the 3-deck check of
+    PeriodicGraph accepts, is one."""
+    if P.rank != 1:
+        return None
+    if rotations is None:
+        rotations = planar_rotations(P.base)
+    volts = [x for (o,) in P.offsets for x in (o, -o)]
+    for flips, faces in rotations:
+        # the nets sum to 0, as every edge is walked once each way, so
+        # absolute values summing to 2 leave exactly one +1 and one -1
+        if sum(abs(sum(volts[d] for d in face)) for face in faces) == 2:
+            return flips
+    return None
 
 
 def cyclic_quotient(P: PeriodicGraph, n: int) -> Multigraph:

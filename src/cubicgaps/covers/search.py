@@ -23,8 +23,14 @@ another choice whose cover is the same periodic graph up to relabelling
 Each seed's choices are therefore tried once per automorphism orbit, at
 the orbit's first member in catalog order, which keeps every row and
 its id as the full sweep would have them.  The automorphisms come from
-the library's own matcher (`graphcore.automorphisms`); networkx serves
-the search only through `is_planar`.
+the library's own matcher (`graphcore.automorphisms`).
+
+A row's `planar_quotients` flag says that every cyclic quotient of its
+cover is planar, for every number of decks.  It is decided exactly by
+`derived_embedding` from the seed's planar rotation systems
+(`planar_rotations`), which are enumerated once per seed; one `is_planar`
+call skips that for a non-planar seed, which has none.  networkx serves
+the search only through that call.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ from dataclasses import dataclass
 from ..dynamics.intervals import IntervalSet
 from ..errors import BadInput
 from ..graphcore.multigraph import Multigraph, automorphisms
-from ..graphcore.planarity import is_planar
-from .periodic import (GapReport, PeriodicGraph, bands, cyclic_quotient,
+from ..graphcore.planarity import is_planar, planar_rotations
+from .periodic import (GapReport, PeriodicGraph, bands, derived_embedding,
                        gap_report, restrict_subtorus)
 
 __all__ = [
@@ -53,7 +59,6 @@ __all__ = [
     "catalog_hash",
     "entry_cover",
     "SUBTORUS_DIRECTIONS",
-    "PLANAR_QUOTIENT_RANGE",
 ]
 
 # Coprime (a, b) with |a|, |b| <= 3, one representative per line through
@@ -67,8 +72,6 @@ SUBTORUS_DIRECTIONS = tuple(sorted(
     and (a > 0 or b > 0)
 ))
 
-PLANAR_QUOTIENT_RANGE = tuple(range(3, 9))
-
 _ROUND = 6
 
 
@@ -78,7 +81,10 @@ class CatalogEntry:
 
     For subtorus slices, base/offsets describe the rank-2 parent and
     cover holds the restricted rank-1 graph, so the row alone suffices
-    to rebuild the cover.
+    to rebuild the cover.  planar_quotients is True when the cover is
+    rank 1 and `derived_embedding` finds a planar rotation system of
+    the cell that lifts to every cyclic quotient, which proves all of
+    them planar; it is False for rank-2 rows.
     """
 
     entry_id: str
@@ -129,13 +135,6 @@ def _dedup_key(base_n: int, report: GapReport):
         tuple(sorted(points)),
         tuple((round(v, _ROUND), m) for v, m in report.flat_bands),
     )
-
-
-def _planar_quotients(P: PeriodicGraph) -> bool:
-    if P.rank != 1:
-        return False
-    return all(bool(is_planar(cyclic_quotient(P, n)))
-               for n in PLANAR_QUOTIENT_RANGE)
 
 
 def _offsets_for(m: int, assignment: dict, rank: int):
@@ -227,8 +226,9 @@ def iter_search_covers(seeds, rank: int = 2, two_link: bool = True,
     first edge choice of each seed-automorphism orbit is tried; the
     others give relabelled copies of covers already seen.  A row is
     dropped when its band picture, rounded to 6 digits with zero-width
-    intervals read as points, was seen before.  A row's quotient
-    planarity is decided only once the row is kept.
+    intervals read as points, was seen before.  A kept row's quotient
+    planarity reads the seed's planar rotation systems, which are
+    enumerated once per seed.
     """
     if rank not in (1, 2):
         raise BadInput("rank must be 1 or 2")
@@ -242,6 +242,9 @@ def iter_search_covers(seeds, rank: int = 2, two_link: bool = True,
                            "which a periodic cover cannot lift")
         if seed.n > 12:
             raise BadInput(f"cover search seed {i} has more than 12 vertices")
+        # a disconnected seed has no cover, so it needs no rotations
+        rotations = (planar_rotations(seed)
+                     if seed.is_connected() and is_planar(seed) else [])
         for offs, subtorus, cover, grid in _candidates(seed, rank, two_link, N):
             report = gap_report(bands(cover, grid))
             key = _dedup_key(seed.n, report)
@@ -252,7 +255,8 @@ def iter_search_covers(seeds, rank: int = 2, two_link: bool = True,
                 entry_id=_entry_id(seed, offs, subtorus),
                 cover=cover, base=seed, offsets=tuple(offs),
                 subtorus=subtorus, report=report,
-                planar_quotients=_planar_quotients(cover))
+                planar_quotients=derived_embedding(cover, rotations)
+                is not None)
 
 
 def search_covers(seeds, rank: int = 2, two_link: bool = True,

@@ -11,7 +11,7 @@ from .multigraph import (
     permute,
 )
 from .enumeration import enumerate_cubic_multigraphs, named_graph, NAMED_BUILDERS, graph_id
-from .planarity import is_planar, PlanarityReport
+from .planarity import is_planar, planar_rotations, PlanarityReport
 
 __all__ = [
     "Multigraph",
@@ -29,5 +29,6 @@ __all__ = [
     "NAMED_BUILDERS",
     "graph_id",
     "is_planar",
+    "planar_rotations",
     "PlanarityReport",
 ]

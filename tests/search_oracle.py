@@ -2,8 +2,12 @@
 
 `oracle_search_covers` tries every edge choice of every seed, as the
 search did before it learned to skip relabelled copies, and dedups with
-the library's `_dedup_key`.  The tests compare its rows byte for byte
-with `iter_search_covers`.  `brute_orbit_firsts` decides the orbit skip
+the library's `_dedup_key`.  It decides quotient planarity as the
+search once did, by one left-right test on each cyclic quotient C3..C8
+(`oracle_planar_quotients`, which also asks each ring to be connected),
+not from derived embeddings.  The tests
+compare its rows byte for byte with `iter_search_covers`, which also
+holds the search's exact planarity to the C3..C8 test.  `brute_orbit_firsts` decides the orbit skip
 from scratch: it relabels the redirected links under every vertex
 permutation that `is_automorphism` accepts.
 """
@@ -12,12 +16,27 @@ from __future__ import annotations
 
 import itertools
 
-from cubicgaps.covers import PeriodicGraph, bands, gap_report, restrict_subtorus
+from cubicgaps.covers import (PeriodicGraph, bands, cyclic_quotient,
+                              gap_report, restrict_subtorus)
 from cubicgaps.covers.quotients import is_automorphism
 from cubicgaps.covers.search import (SUBTORUS_DIRECTIONS, CatalogEntry,
-                                     _dedup_key, _entry_id, _offsets_for,
-                                     _planar_quotients)
+                                     _dedup_key, _entry_id, _offsets_for)
 from cubicgaps.errors import BadInput
+from cubicgaps.graphcore import is_planar
+
+
+def oracle_planar_quotients(P):
+    """A rank-1 cover whose cyclic quotients C3..C8 are all connected
+    and pass `is_planar`.
+
+    The connectivity check is for the covers that the 3-deck check of
+    `PeriodicGraph` wrongly accepts: each ring of such a cover is a
+    union of planar rings, but a derived embedding also proves every
+    ring connected, so the search does not call them planar."""
+    if P.rank != 1:
+        return False
+    rings = (cyclic_quotient(P, n) for n in range(3, 9))
+    return all(Q.is_connected() and bool(is_planar(Q)) for Q in rings)
 
 
 def _all_candidates(seed, rank, two_link, N):
@@ -66,7 +85,7 @@ def oracle_search_covers(seeds, rank=2, two_link=True, N=256):
                 entry_id=_entry_id(seed, offs, subtorus),
                 cover=cover, base=seed, offsets=tuple(offs),
                 subtorus=subtorus, report=report,
-                planar_quotients=_planar_quotients(cover)))
+                planar_quotients=oracle_planar_quotients(cover)))
     return out
 
 

@@ -21,12 +21,13 @@ from hypothesis import strategies as st
 from bloch_oracle import (oracle_band_values, oracle_quotient,
                           oracle_twisted_adjacency)
 from cubicgaps.certifier.touchpoint import _integer_touch_matrix
-from cubicgaps.covers import (PeriodicGraph, bands, doubled_cycle_cover, lift,
-                              offset_split, prism_band_cover,
-                              twisted_adjacency)
+from cubicgaps.covers import (PeriodicGraph, bands, derived_embedding,
+                              doubled_cycle_cover, lift, offset_split,
+                              prism_band_cover, twisted_adjacency)
 from cubicgaps.covers.search import _candidates
 from cubicgaps.errors import BadInput
-from cubicgaps.graphcore import enumerate_cubic_multigraphs, spectrum
+from cubicgaps.graphcore import (Multigraph, enumerate_cubic_multigraphs,
+                                 is_planar, spectrum)
 
 CELLS = [G for n in (2, 4, 6) for G in enumerate_cubic_multigraphs(n)]
 
@@ -137,6 +138,29 @@ def test_even_cell_offsets_connect_three_decks_but_not_four():
 def test_cover_reaching_only_even_cells_is_refused():
     with pytest.raises(BadInput):
         PeriodicGraph(doubled_cycle_cover().base, 1, EVEN_CELLS)
+
+
+# three parallel edges with offsets 1, -1, 1: the cycle offsets are 2 and
+# 0, so every offset lies in {-1, 0, 1} and the cover still splits in two
+THETA = Multigraph(2, [(0, 1)] * 3)
+THETA_SPLIT = ((1,), (-1,), (1,))
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="connectivity is decided on the 3-deck lift")
+def test_theta_cover_with_unit_offsets_is_refused():
+    with pytest.raises(BadInput):
+        PeriodicGraph(THETA, 1, THETA_SPLIT)
+
+
+def test_theta_split_cover_has_no_derived_embedding():
+    # each ring is two planar components, so a per-ring planarity test
+    # passes, but no face of the theta cell carries net offset 1
+    P = PeriodicGraph(THETA, 1, THETA_SPLIT)
+    assert not lift(P, (2,)).is_connected()
+    assert derived_embedding(P) is None
+    for n in range(3, 9):
+        assert is_planar(lift(P, (n,)))
 
 
 @st.composite

@@ -41,3 +41,13 @@ def test_quadratic_field_kernel_is_not_exported():
     for module in MODULES:
         assert "quad_kernel" not in getattr(module, "__all__", ())
         assert not hasattr(module, "quad_kernel")
+
+
+def test_quotient_planarity_names():
+    # exact quotient planarity replaced the C3..C8 heuristic and its range
+    from cubicgaps import covers, graphcore
+    assert callable(graphcore.planar_rotations)
+    assert callable(covers.derived_embedding)
+    for module in MODULES:
+        assert "PLANAR_QUOTIENT_RANGE" not in getattr(module, "__all__", ())
+        assert not hasattr(module, "PLANAR_QUOTIENT_RANGE")

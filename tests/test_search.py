@@ -7,9 +7,9 @@ import pytest
 from cubicgaps.cli import default_catalog_path
 from cubicgaps.covers import (SUBTORUS_DIRECTIONS, CatalogEntry, bands,
                               catalog_hash, coverage_report, cyclic_quotient,
-                              entry_cover, load_catalog, save_catalog,
-                              search_covers, search_planar_covers,
-                              twisted_adjacency)
+                              entry_cover, load_catalog, periodic,
+                              save_catalog, search, search_covers,
+                              search_planar_covers, twisted_adjacency)
 from cubicgaps.errors import BadInput
 from cubicgaps.graphcore import Multigraph, enumerate_cubic_multigraphs, named_graph, spectrum
 
@@ -204,10 +204,31 @@ class TestPlanarSearch:
 
         monkeypatch.setattr(nxp, "get_counterexample", refuse)
         entries = search_covers(enumerate_cubic_multigraphs(4), N=64)
-        # a rank-1 row whose quotients are not all planar met a
-        # non-planar quotient without reading its witness
+        # not even for the rank-1 rows it does not call planar
         assert any(e.cover.rank == 1 and not e.planar_quotients
                    for e in entries)
+
+    def test_planarity_runs_once_per_seed_and_never_on_a_quotient(
+            self, monkeypatch):
+        calls = {"is_planar": 0, "cyclic_quotient": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(search, "is_planar",
+                            counted("is_planar", search.is_planar))
+        for module in (search, periodic):
+            monkeypatch.setattr(module, "cyclic_quotient",
+                                counted("cyclic_quotient",
+                                        periodic.cyclic_quotient),
+                                raising=False)
+        seeds = enumerate_cubic_multigraphs(4)
+        entries = search_covers(seeds, N=64)
+        assert any(e.planar_quotients for e in entries)
+        assert calls == {"is_planar": len(seeds), "cyclic_quotient": 0}
 
     def test_regenerated_catalog_is_byte_identical(self, tmp_path,
                                                    small_cell_search):

@@ -1,7 +1,8 @@
 """The automorphism-orbit skip of the cover search and its dedup key.
 
 The skip must not change a single catalog byte: every row of
-`iter_search_covers` matches the unskipped sweep in `search_oracle.py`.
+`iter_search_covers` matches the unskipped sweep in `search_oracle.py`,
+whose C3..C8 planarity test also checks the search's derived embeddings.
 """
 
 import itertools
@@ -14,8 +15,7 @@ from search_oracle import brute_orbit_firsts, oracle_search_covers
 from cubicgaps.covers import bands, gap_report, iter_search_covers, search
 from cubicgaps.covers.periodic import GapReport
 from cubicgaps.covers.quotients import is_automorphism
-from cubicgaps.covers.search import (_dedup_key, _orbit_firsts,
-                                     _planar_quotients)
+from cubicgaps.covers.search import _dedup_key, _orbit_firsts
 from cubicgaps.dynamics.intervals import IntervalSet
 from cubicgaps.graphcore import (Multigraph, automorphisms,
                                  enumerate_cubic_multigraphs)
@@ -77,11 +77,12 @@ class TestOrbitHelper:
 
 @pytest.fixture
 def shared_work(monkeypatch):
-    """Both sweeps eigensolve each cover and test its quotients once.
-    `bands`, `gap_report` and `_planar_quotients` are deterministic on
-    equal input, so the comparison still checks which candidates each
-    side tries and keeps."""
-    structures, reports, planar = {}, {}, {}
+    """Both sweeps eigensolve each cover once.  `bands` and `gap_report`
+    are deterministic on equal input, so the comparison still checks
+    which candidates each side tries and keeps.  Planarity is not
+    shared: the search decides it from derived embeddings and the oracle
+    by the C3..C8 test, so the rows also hold one to the other."""
+    structures, reports = {}, {}
 
     def cached_bands(P, N):
         key = (P.base.edges, P.offsets, N)
@@ -95,16 +96,9 @@ def shared_work(monkeypatch):
             reports[id(B)] = gap_report(B)
         return reports[id(B)]
 
-    def cached_planar(P):
-        key = (P.base.edges, P.offsets)
-        if key not in planar:
-            planar[key] = _planar_quotients(P)
-        return planar[key]
-
     for module in (search, search_oracle):
         monkeypatch.setattr(module, "bands", cached_bands)
         monkeypatch.setattr(module, "gap_report", cached_report)
-        monkeypatch.setattr(module, "_planar_quotients", cached_planar)
 
 
 @pytest.mark.usefixtures("shared_work")
