@@ -19,7 +19,7 @@ import importlib.resources
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -330,16 +330,17 @@ def _certify_candidates(args):
     return cands
 
 
+def _matches_target(gap, target) -> bool:
+    return all(abs(float(x) - t) <= 1e-3 for x, t in zip(gap, target))
+
+
 def cmd_certify(cfg: RunConfig, args) -> int:
     target = _parse_interval(args.target)
     chosen = sha = None
     for P, cat_sha in _certify_candidates(args):
         rep = gap_report(bands(P, N=cfg.grid), threshold=cfg.threshold)
-        for a, b in rep.gaps.intervals:
-            if abs(a - target[0]) <= 1e-3 and abs(b - target[1]) <= 1e-3:
-                chosen, sha = P, cat_sha
-                break
-        if chosen is not None:
+        if any(_matches_target(g, target) for g in rep.gaps.intervals):
+            chosen, sha = P, cat_sha
             break
     if chosen is None:
         raise RefusedCertificate(
@@ -348,6 +349,12 @@ def cmd_certify(cfg: RunConfig, args) -> int:
     theta = locate_touch_angle(chosen)
     claimed = exact_eigenpairs(chosen, theta)
     cert = certify_touchpoint(chosen, theta, claimed)
+    gap = next((g for g in cert.gaps if _matches_target(g, target)), None)
+    if gap is None:
+        raise RefusedCertificate(
+            f"no certified gap of cover {cert.cover_id} matches the "
+            f"requested {args.target}", failing_index=None)
+    cert = replace(cert, gap=gap)
     doc = cert.to_json()
     verify_certificate(json.loads(json.dumps(doc)))
     if cfg.exact:

@@ -13,16 +13,17 @@ read the cover, and everything else goes through them:
   certifier exactly at z = +-1.
 - lift, the finite quotient with deck group Z/n or Z/n1 x Z/n2 (a
   voltage-graph lift, Gross & Tucker).  cyclic_quotient and
-  torus_quotient are lifts, and so is the connectivity check.  A
-  lift's spectrum equals the twisted eigenvalues at the matching roots
-  of unity, which the tests verify.  derived_embedding lifts a planar
-  rotation system of the cell to every cyclic quotient at once, which
-  decides their planarity for every n.
+  torus_quotient are lifts.  A lift's spectrum equals the twisted
+  eigenvalues at the matching roots of unity, which the tests verify.
+  derived_embedding lifts a planar rotation system of the cell to
+  every cyclic quotient at once, which decides their planarity for
+  every n.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -57,14 +58,8 @@ class PeriodicGraph:
     one from (u, v, offset) triples without worrying about orientation:
     stored edges satisfy u <= v and flipping an edge negates its offset.
 
-    The cover must be connected.  That is decided on the 3-deck lift
-    (3 x 3 for rank 2), which accepts every connected cover but also a
-    disconnected one whose cycle offsets share a common factor prime to
-    3, even with every offset in {-1, 0, 1}: the 2-vertex theta cell with
-    offsets 1, -1, 1 has cycle offsets 2 and 0, so it connects 3 decks
-    while lift(P, (2,)) splits in two.  Likewise the doubled-cycle base
-    with offsets 0, 2, 0, 0, 0, 2 only reaches the even cells, so its
-    4-deck quotient falls apart.
+    The cover must be connected, which `_is_connected_cover` decides
+    exactly.
     """
 
     base: Multigraph
@@ -84,7 +79,7 @@ class PeriodicGraph:
         if any(len(o) != self.rank for o in offs):
             raise BadInput(f"offsets must have length {self.rank}")
         object.__setattr__(self, "offsets", offs)
-        if not lift(self, (3,) * self.rank).is_connected():
+        if not _is_connected_cover(self.base, self.rank, offs):
             raise BadInput("cover is disconnected")
 
     @classmethod
@@ -115,9 +110,58 @@ class PeriodicGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "PeriodicGraph":
-        return cls(Multigraph.from_json(data["base"]), int(data["rank"]),
-                   tuple(tuple(o) for o in data["offsets"]),
-                   data.get("name", ""))
+        try:
+            return cls(Multigraph.from_json(data["base"]), int(data["rank"]),
+                       tuple(tuple(o) for o in data["offsets"]),
+                       data.get("name", ""))
+        except BadInput:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadInput(f"malformed cover JSON: {exc}") from exc
+
+
+def _is_connected_cover(base: Multigraph, rank: int, offsets) -> bool:
+    """Whether the cover of base with these offsets is connected: the
+    base is connected and the cycle voltages generate Z^rank, that is,
+    their gcd is 1 (rank 1) or the gcd of their 2 x 2 minors is 1
+    (rank 2).
+
+    Proof (Gross & Tucker, Topological Graph Theory, 1987, ch. 2): give
+    each vertex the potential p(v), the net offset of its path from
+    vertex 0 in a spanning tree of the base, and each edge (u, v, o) the
+    voltage p(u) + o - p(v), which is 0 on tree edges.  A step along an
+    edge from u to v moves the cell by p(v) - p(u) plus its voltage, so
+    a walk from (cell 0, vertex 0) ends at (cell c, vertex v) with
+    c - p(v) in the lattice L that the voltages generate; conversely the
+    fundamental cycle of each edge, walked either way from vertex 0,
+    moves the cell by plus or minus its voltage.  The component of
+    (cell 0, vertex 0) is therefore {(c, v): c - p(v) in L}, everything
+    exactly when L = Z^rank.  In rank 1, L is gcd * Z.  In rank 2, the
+    gcd of the 2 x 2 minors of the voltage vectors is the index of L in
+    Z^2 (the product of the Smith invariants), or 0 when L has rank
+    below 2.  A connected cover has connected lifts, as L = Z^rank maps
+    onto every deck group."""
+    nbr = [[] for _ in range(base.n)]
+    for (u, v), o in zip(base.edges, offsets):
+        nbr[u].append((v, o))
+        nbr[v].append((u, tuple(-c for c in o)))
+    p = [None] * base.n
+    p[0] = (0,) * rank
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v, o in nbr[u]:
+            if p[v] is None:
+                p[v] = tuple(a + b for a, b in zip(p[u], o))
+                stack.append(v)
+    if None in p:
+        return False
+    volts = [tuple(a + b - c for a, b, c in zip(p[u], o, p[v]))
+             for (u, v), o in zip(base.edges, offsets)]
+    if rank == 1:
+        return math.gcd(*(x for (x,) in volts)) == 1
+    return math.gcd(*(a * d - b * c for (a, b), (c, d)
+                      in itertools.combinations(volts, 2))) == 1
 
 
 def offset_split(P: PeriodicGraph) -> dict:
@@ -339,12 +383,7 @@ def derived_embedding(P: PeriodicGraph, rotations=None):
     every n >= 1.  A face walk is a closed walk, and one of net offset 1
     reaches every deck of the connected cell's lift, so the quotient is
     connected; an orientable connected surface with chi = 2 is the
-    sphere.
-
-    A disconnected cover has no face of net offset +-1, so it returns
-    None even when each of its quotients is a union of planar rings:
-    the theta cell with offsets 1, -1, 1, which the 3-deck check of
-    PeriodicGraph accepts, is one."""
+    sphere."""
     if P.rank != 1:
         return None
     if rotations is None:

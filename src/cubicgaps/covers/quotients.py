@@ -1,14 +1,15 @@
-"""Finite quotients of multigraphs by free automorphism groups.
+"""Finite quotients of multigraphs by one free involution.
 
 Folding a ring cover by a deck-reversing involution halves it while
 keeping the spectrum inside the parent's.  The edge classes of the
-quotient are decided structurally: an orbit of loops stays a loop, an
-edge whose endpoints share an orbit becomes a half-loop when some group
-element swaps its ends (degree contribution 1) and a full loop when not
-(contribution 2), and everything else stays an ordinary edge.  With a
-free action this reproduces exactly the orbit-summed adjacency matrix,
-which is the compression of the parent adjacency to orbit-constant
-vectors, hence the spectral containment.
+quotient are decided structurally: an edge (u, sigma u) becomes a
+half-loop, since sigma swaps its ends (degree contribution 1), and
+every other edge, loops included, descends to one copy per pair
+{e, sigma e}.  A full loop only descends from a loop, because an edge
+with both ends in one orbit {v, sigma v} is always swapped.  This
+reproduces exactly the orbit-summed adjacency matrix, which is the
+compression of the parent adjacency to orbit-constant vectors, hence
+the spectral containment.
 
 One `ring_reflection` builds the involution, with optional per-vertex
 deck shifts for covers whose links reverse only after a shift.
@@ -22,13 +23,10 @@ from .periodic import PeriodicGraph, cyclic_quotient
 
 __all__ = [
     "is_automorphism",
-    "group_closure",
-    "quotient_by_automorphism",
+    "quotient_by_involution",
     "ring_reflection",
     "folded_ring",
 ]
-
-_GROUP_CAP = 1024
 
 
 def is_automorphism(G: Multigraph, perm) -> bool:
@@ -43,81 +41,29 @@ def is_automorphism(G: Multigraph, perm) -> bool:
     return tuple(sorted(p[v] for v in G.half_loops)) == G.half_loops
 
 
-def group_closure(perms, n: int, cap: int = _GROUP_CAP):
-    """All products of the given permutations (as tuples), identity
-    included.  Raises BadInput past the cap."""
-    ident = tuple(range(n))
-    group = {ident}
-    frontier = [tuple(p) for p in perms]
-    for p in frontier:
-        group.add(p)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for p in perms:
-                gp = tuple(g[p[i]] for i in range(n))
-                if gp not in group:
-                    group.add(gp)
-                    nxt.append(gp)
-                    if len(group) > cap:
-                        raise BadInput(f"generated group exceeds {cap} elements")
-        frontier = nxt
-    return sorted(group)
-
-
-def quotient_by_automorphism(G: Multigraph, perms) -> Multigraph:
-    """Quotient by the group generated by perms, which must act freely
-    (every orbit as large as the group).  Quotient vertices are orbits
-    numbered by their smallest member."""
-    for p in perms:
-        if not is_automorphism(G, p):
-            raise BadInput("permutation is not an automorphism")
-    group = group_closure(perms, G.n)
-    order = len(group)
-    orbit_of = {}
-    reps = []
-    for v in range(G.n):
-        if v in orbit_of:
-            continue
-        orb = {g[v] for g in group}
-        if len(orb) != order:
-            raise BadInput(f"action is not free: orbit of {v} has size {len(orb)}")
-        idx = len(reps)
-        reps.append(min(orb))
-        for w in orb:
-            orbit_of[w] = idx
-
+def quotient_by_involution(G: Multigraph, sigma) -> Multigraph:
+    """Quotient by sigma, which must be a fixed-point-free involutive
+    automorphism.  Quotient vertices are the orbits {v, sigma v},
+    numbered by their smaller member.  Of each pair {e, sigma e} of
+    edges the smaller is kept, every parallel copy of it included, and
+    a half-loop is kept at the smaller vertex of its orbit."""
+    s = tuple(sigma)
+    if not is_automorphism(G, s):
+        raise BadInput("permutation is not an automorphism")
+    if any(s[v] == v or s[s[v]] != v for v in range(G.n)):
+        raise BadInput("permutation is not a fixed-point-free involution")
+    orbit = {}
+    for i, v in enumerate(w for w in range(G.n) if w < s[w]):
+        orbit[v] = orbit[s[v]] = i
     edges = []
-    half_loops = []
-    seen_pairs = set()
+    half_loops = [orbit[v] for v in G.half_loops if v < s[v]]
     for u, v in G.edges:
-        key = (min(u, v), max(u, v))
-        if key in seen_pairs:
-            continue
-        orbit_pairs = {tuple(sorted((g[u], g[v]))) for g in group}
-        mult = sum(1 for e in G.edges if e == key)
-        seen_pairs.update(orbit_pairs)
-        a, b = orbit_of[u], orbit_of[v]
-        if u == v:
-            edges.extend([(a, a)] * mult)
-        elif a != b:
-            edges.extend([(min(a, b), max(a, b))] * mult)
-        else:
-            swapped = any(g[u] == v and g[v] == u for g in group)
-            if swapped:
-                half_loops.extend([a] * mult)
-            else:
-                edges.extend([(a, a)] * mult)
-    seen_hl = set()
-    for v in G.half_loops:
-        if v in seen_hl:
-            continue
-        orb = {g[v] for g in group}
-        mult = sum(1 for w in G.half_loops if w == v)
-        seen_hl.update(orb)
-        half_loops.extend([orbit_of[v]] * mult)
-    return Multigraph(len(reps), edges, half_loops,
-                      name=f"{G.name or 'graph'}/(order {order})")
+        if u != v and s[u] == v:
+            half_loops.append(orbit[u])
+        elif (u, v) < (min(s[u], s[v]), max(s[u], s[v])):
+            edges.append((orbit[u], orbit[v]))
+    return Multigraph(G.n // 2, edges, half_loops,
+                      name=f"{G.name or 'graph'}/(order 2)")
 
 
 def ring_reflection(P: PeriodicGraph, decks: int, rho, c: int, shifts=None):
@@ -141,6 +87,6 @@ def ring_reflection(P: PeriodicGraph, decks: int, rho, c: int, shifts=None):
 def folded_ring(P: PeriodicGraph, decks: int, rho, c: int, shifts=None) -> Multigraph:
     """cyclic_quotient(P, decks) folded by the (possibly shifted) deck
     reflection.  Raises BadInput if the candidate map fails to be an
-    automorphism or the action is not free."""
+    automorphism or a free involution."""
     sigma = ring_reflection(P, decks, rho, c, shifts)
-    return quotient_by_automorphism(cyclic_quotient(P, decks), [sigma])
+    return quotient_by_involution(cyclic_quotient(P, decks), sigma)

@@ -242,9 +242,10 @@ def iter_search_covers(seeds, rank: int = 2, two_link: bool = True,
                            "which a periodic cover cannot lift")
         if seed.n > 12:
             raise BadInput(f"cover search seed {i} has more than 12 vertices")
-        # a disconnected seed has no cover, so it needs no rotations
-        rotations = (planar_rotations(seed)
-                     if seed.is_connected() and is_planar(seed) else [])
+        if not seed.is_connected():
+            raise BadInput(f"cover search seed {i} is disconnected, so it "
+                           "has no connected cover")
+        rotations = planar_rotations(seed) if is_planar(seed) else []
         for offs, subtorus, cover, grid in _candidates(seed, rank, two_link, N):
             report = gap_report(bands(cover, grid))
             key = _dedup_key(seed.n, report)

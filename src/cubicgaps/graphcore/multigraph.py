@@ -157,7 +157,9 @@ class Multigraph:
                 half_loops=tuple(d.get("half_loops", ())),
                 name=str(d.get("name", "")),
             )
-        except (KeyError, TypeError) as exc:
+        except BadInput:
+            raise
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BadInput(f"malformed graph JSON: {exc}") from exc
 
     def save(self, path):

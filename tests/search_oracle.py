@@ -29,10 +29,9 @@ def oracle_planar_quotients(P):
     """A rank-1 cover whose cyclic quotients C3..C8 are all connected
     and pass `is_planar`.
 
-    The connectivity check is for the covers that the 3-deck check of
-    `PeriodicGraph` wrongly accepts: each ring of such a cover is a
-    union of planar rings, but a derived embedding also proves every
-    ring connected, so the search does not call them planar."""
+    A derived embedding proves every ring connected as well as planar,
+    so the oracle asks both; `PeriodicGraph` refuses every disconnected
+    cover, so no ring here is a union of planar rings."""
     if P.rank != 1:
         return False
     rings = (cyclic_quotient(P, n) for n in range(3, 9))

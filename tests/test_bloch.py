@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 from bloch_oracle import (oracle_band_values, oracle_quotient,
                           oracle_twisted_adjacency)
 from cubicgaps.certifier.touchpoint import _integer_touch_matrix
-from cubicgaps.covers import (PeriodicGraph, bands, derived_embedding,
-                              doubled_cycle_cover, lift, offset_split,
-                              prism_band_cover, twisted_adjacency)
+from cubicgaps.covers import (PeriodicGraph, bands, doubled_cycle_cover,
+                              lift, offset_split, prism_band_cover,
+                              twisted_adjacency)
 from cubicgaps.covers.search import _candidates
 from cubicgaps.errors import BadInput
 from cubicgaps.graphcore import (Multigraph, enumerate_cubic_multigraphs,
@@ -133,8 +133,6 @@ def test_even_cell_offsets_connect_three_decks_but_not_four():
     assert not lift(wrap, (4,)).is_connected()
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="connectivity is decided on the 3-deck lift")
 def test_cover_reaching_only_even_cells_is_refused():
     with pytest.raises(BadInput):
         PeriodicGraph(doubled_cycle_cover().base, 1, EVEN_CELLS)
@@ -146,21 +144,43 @@ THETA = Multigraph(2, [(0, 1)] * 3)
 THETA_SPLIT = ((1,), (-1,), (1,))
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="connectivity is decided on the 3-deck lift")
 def test_theta_cover_with_unit_offsets_is_refused():
     with pytest.raises(BadInput):
         PeriodicGraph(THETA, 1, THETA_SPLIT)
 
 
-def test_theta_split_cover_has_no_derived_embedding():
+def test_theta_split_rings_are_planar_but_the_cover_is_refused():
     # each ring is two planar components, so a per-ring planarity test
-    # passes, but no face of the theta cell carries net offset 1
-    P = PeriodicGraph(THETA, 1, THETA_SPLIT)
-    assert not lift(P, (2,)).is_connected()
-    assert derived_embedding(P) is None
+    # passes; the cover is refused before any planarity question
+    wrap = SimpleNamespace(base=THETA, rank=1, offsets=THETA_SPLIT, name="")
+    assert not lift(wrap, (2,)).is_connected()
     for n in range(3, 9):
-        assert is_planar(lift(P, (n,)))
+        assert is_planar(lift(wrap, (n,)))
+    with pytest.raises(BadInput, match="disconnected"):
+        PeriodicGraph.from_links(2, [(0, 1, 1), (0, 1, -1), (1, 0, -1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CELLS).flatmap(lambda base: st.tuples(
+    st.just(base), st.lists(st.integers(-3, 3), min_size=len(base.edges),
+                            max_size=len(base.edges)))))
+def test_connectivity_rule_matches_the_lifts(case):
+    # a cycle voltage is a signed sum of distinct edge offsets, so K,
+    # the sum of the offsets' sizes, bounds every one; a voltage gcd
+    # g > 1 then splits lift(P, (g,)) with 2 <= g <= K, and all-zero
+    # voltages split lift(P, (2,))
+    base, raw = case
+    offsets = tuple((o,) for o in raw)
+    wrap = SimpleNamespace(base=base, rank=1, offsets=offsets, name="")
+    K = sum(abs(o) for o in raw)
+    connected = all(lift(wrap, (k,)).is_connected()
+                    for k in range(2, max(2, K) + 1))
+    try:
+        PeriodicGraph(base, 1, offsets)
+    except BadInput:
+        assert not connected, (base.edges, offsets)
+    else:
+        assert connected, (base.edges, offsets)
 
 
 @st.composite

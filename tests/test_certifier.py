@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,15 @@ class TestSerialization:
                            match="not an exact touch-angle eigenvalue"):
             verify_certificate(doc)
 
+    def test_gap_outside_gaps_refused(self, wb_cert):
+        # -3 and 3 each pass the endpoint check on their own
+        _, _, cert = wb_cert
+        doc = json.loads(json.dumps(cert.to_json()))
+        assert doc["gap"] == ["-1", "1"]
+        doc["gap"] = ["-3", "3"]
+        with pytest.raises(RefusedCertificate, match="not one of"):
+            verify_certificate(doc)
+
     def test_tampered_cover_id_refused(self, wa_cert):
         _, _, cert = wa_cert
         doc = json.loads(json.dumps(cert.to_json()))
@@ -221,6 +231,25 @@ class TestRefusals:
         claimed[1] = (claimed[0][0], claimed[0][1])
         with pytest.raises(RefusedCertificate, match="dependent"):
             certify_touchpoint(P, theta, claimed)
+
+    def test_irrational_touch_spectrum_refused(self):
+        # at pi the prism cover has the eigenvalues (-1 +- sqrt(17))/2
+        with pytest.raises(BadInput, match="not integral"):
+            exact_eigenpairs(prism_band_cover(), math.pi)
+
+    def test_completeness_ranks_only_the_claimed_vectors(self, wa_cert,
+                                                          monkeypatch):
+        # n independent eigenvectors prove the claim complete, so no
+        # n x n rank of lambda I - A is taken
+        P, theta, _ = wa_cert
+        claimed = exact_eigenpairs(P, theta)
+        rows = []
+        real = touchpoint.rank_over_field
+        monkeypatch.setattr(touchpoint, "rank_over_field",
+                            lambda M: rows.append(len(M)) or real(M))
+        certify_touchpoint(P, theta, claimed)
+        mults = sorted(Counter(lam for lam, _ in claimed).values())
+        assert sorted(rows) == mults and max(mults) < P.base.n
 
     def test_incomplete_claim_refused(self, wa_cert):
         P, theta, _ = wa_cert

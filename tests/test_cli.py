@@ -1,11 +1,14 @@
+import dataclasses
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from cubicgaps import cli
 from cubicgaps.certifier import verify_certificate
+from cubicgaps.certifier.exact import QuadExt
 from cubicgaps.cli import default_catalog_path, fixture_path, main
 from cubicgaps.graphcore import Multigraph
 
@@ -63,6 +66,16 @@ class TestSpectrum:
         p.write_text("{not json")
         assert run("spectrum", p, "--out", tmp_path / "o") == 4
 
+    @pytest.mark.parametrize("text", [
+        '{"n": "x", "edges": [[0, 1]]}',
+        '{"n": 2, "edges": [[0]]}',
+    ], ids=["n", "edge"])
+    def test_malformed_field_exits_4(self, tmp_path, capsys, text):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert run("spectrum", p, "--out", tmp_path / "o") == 4
+        assert "malformed graph JSON" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         assert run("spectrum", tmp_path / "nope.json",
                    "--out", tmp_path / "o") == 4
@@ -114,6 +127,14 @@ class TestBands:
         for (a, b), (wa, wb) in zip(got, want):
             assert a == pytest.approx(wa, abs=1e-6)
             assert b == pytest.approx(wb, abs=1e-6)
+
+    def test_cover_without_offsets_exits_4(self, tmp_path, capsys):
+        doc = json.loads(fixture_path("doubled_cycle_cover.json").read_text())
+        del doc["offsets"]
+        p = tmp_path / "no_offsets.json"
+        p.write_text(json.dumps(doc))
+        assert run("bands", p, "--out", tmp_path / "o") == 4
+        assert "offsets" in capsys.readouterr().err
 
     def test_outputs_are_reproducible(self, tmp_path):
         assert run("bands", fx("prism_band_cover.json"), "--grid", 64,
@@ -252,6 +273,30 @@ class TestCertify:
         assert run("certify", *argv, "--out", tmp_path) == 0
         got = hashlib.sha256((tmp_path / "certificate.json").read_bytes())
         assert got.hexdigest() == digest
+
+    def test_requested_gap_is_certified(self, tmp_path, capsys):
+        # the prism cover's widest gap is (-2, 0); the certificate must
+        # carry the gap that was asked for
+        assert run("certify", "--target", "(1.5616,2)",
+                   "--out", tmp_path) == 0
+        assert "gap (1.56155281281, 2) certified" in capsys.readouterr().out
+        cert = verify_certificate(
+            json.loads((tmp_path / "certificate.json").read_text()))
+        assert cert.gap == (QuadExt(-1, 1, 17), Fraction(2))
+        assert float(cert.gap[0]) == pytest.approx((math.sqrt(17) - 1) / 2)
+
+    def test_exact_compares_the_requested_gap(self, tmp_path):
+        assert run("certify", "--target", "(1.5615528128,2)", "--exact",
+                   "--out", tmp_path) == 0
+        assert run("certify", "--target", "(1.5616,2)", "--exact",
+                   "--out", tmp_path) == 2
+
+    def test_target_missing_from_certified_gaps_refused(self, tmp_path,
+                                                        monkeypatch):
+        real = cli.certify_touchpoint
+        monkeypatch.setattr(cli, "certify_touchpoint",
+                            lambda *a: dataclasses.replace(real(*a), gaps=()))
+        assert run("certify", "--target", "(-1,1)", "--out", tmp_path) == 2
 
     def test_unachievable_target_refused(self, tmp_path):
         assert run("certify", "--target", "(-2.5,0.5)",

@@ -97,12 +97,9 @@ def ring_covers(draw):
     base = draw(st.sampled_from(SMALL_CELLS))
     offsets = [(draw(st.integers(-2, 2)),) for _ in base.edges]
     try:
-        P = PeriodicGraph(base, 1, offsets)
-    except BadInput:
+        return PeriodicGraph(base, 1, offsets)
+    except BadInput:  # a disconnected cover
         reject()
-    if not all(lift(P, (k,)).is_connected() for k in range(2, 13)):
-        reject()    # accepted by the 3-deck check, yet disconnected
-    return P
 
 
 @settings(max_examples=150, deadline=None)

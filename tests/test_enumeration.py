@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cubicgaps.covers import quotient_by_automorphism
+from cubicgaps.covers import quotient_by_involution
 from cubicgaps.covers.reference import folded_prism_ring
 from cubicgaps.errors import BadInput
 from cubicgaps.graphcore import (
@@ -103,9 +103,9 @@ def test_signatures_match_reference_on_classes(n):
 
 
 def test_signatures_match_reference_on_half_loop_quotients():
-    k4_fold = quotient_by_automorphism(named_graph("k4"), [(1, 0, 3, 2)])
+    k4_fold = quotient_by_involution(named_graph("k4"), (1, 0, 3, 2))
     base = Multigraph(2, [(0, 1), (0, 1)], half_loops=(0, 1))
-    cases = [k4_fold, base, quotient_by_automorphism(base, [(1, 0)]),
+    cases = [k4_fold, base, quotient_by_involution(base, (1, 0)),
              folded_prism_ring(3)]
     assert all(G.half_loops for G in cases)
     for G in cases:

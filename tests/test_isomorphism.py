@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubicgaps.covers import quotient_by_automorphism
+from cubicgaps.covers import quotient_by_involution
 from cubicgaps.covers.reference import folded_prism_ring
 from cubicgaps.errors import BadInput
 from cubicgaps.graphcore import (
@@ -36,9 +36,9 @@ SMALL = [G for n in (2, 4, 6, 8) for G in enumerate_cubic_multigraphs(n)]
 
 _BASE = Multigraph(2, [(0, 1), (0, 1)], half_loops=(0, 1))
 HALF_LOOP_QUOTIENTS = [
-    quotient_by_automorphism(named_graph("k4"), [(1, 0, 3, 2)]),
+    quotient_by_involution(named_graph("k4"), (1, 0, 3, 2)),
     _BASE,
-    quotient_by_automorphism(_BASE, [(1, 0)]),
+    quotient_by_involution(_BASE, (1, 0)),
     folded_prism_ring(2),
     folded_prism_ring(3),
 ]

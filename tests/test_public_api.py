@@ -51,3 +51,13 @@ def test_quotient_planarity_names():
     for module in MODULES:
         assert "PLANAR_QUOTIENT_RANGE" not in getattr(module, "__all__", ())
         assert not hasattr(module, "PLANAR_QUOTIENT_RANGE")
+
+
+def test_one_quotient_by_one_involution():
+    # every fold is by one free involution, so the group closure is gone
+    from cubicgaps import covers
+    assert callable(covers.quotient_by_involution)
+    for module in MODULES:
+        for name in ("group_closure", "quotient_by_automorphism"):
+            assert name not in getattr(module, "__all__", ())
+            assert not hasattr(module, name)

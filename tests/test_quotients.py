@@ -3,29 +3,27 @@ import pytest
 
 from cubicgaps.covers import (cyclic_quotient, doubled_cycle_cover,
                               doubled_cycle_ring, folded_doubled_cycle_ring,
-                              folded_prism_ring, folded_ring, group_closure,
-                              is_automorphism, prism_band_cover, prism_ring,
-                              quotient_by_automorphism, ring_reflection)
+                              folded_prism_ring, folded_ring, is_automorphism,
+                              prism_band_cover, prism_ring,
+                              quotient_by_involution, ring_reflection)
 from cubicgaps.errors import BadInput
 from cubicgaps.graphcore import (Multigraph, are_isomorphic, is_planar,
                                  named_graph, spectrum)
 
 
-def quotient_adjacency_by_row_sums(G, perms):
+def quotient_adjacency_by_row_sums(G, sigma):
     """Independent oracle: compress the adjacency matrix to orbit space
-    by summing each row of the representative over the target orbit.
-    With a free action this is exactly the quotient's adjacency."""
-    group = group_closure(perms, G.n)
+    by summing each row of the representative over the target orbit
+    {w, sigma w}.  With a free action this is exactly the quotient's
+    adjacency."""
     orbit_of = {}
     reps = []
     for v in range(G.n):
         if v in orbit_of:
             continue
-        orb = sorted({g[v] for g in group})
         idx = len(reps)
-        reps.append(orb[0])
-        for w in orb:
-            orbit_of[w] = idx
+        reps.append(v)
+        orbit_of[v] = orbit_of[sigma[v]] = idx
     A = G.adjacency()
     k = len(reps)
     Q = np.zeros((k, k), dtype=np.int64)
@@ -49,31 +47,26 @@ class TestAutomorphisms:
     def test_not_a_permutation(self):
         assert not is_automorphism(named_graph("k4"), (0, 0, 1, 2))
 
-    def test_group_closure_of_rotation(self):
-        group = group_closure([(1, 2, 3, 0)], 4)
-        assert len(group) == 4
-        assert (0, 1, 2, 3) in group
-
-    def test_group_closure_cap(self):
-        # two generators of S_8 blow past a tiny cap
-        with pytest.raises(BadInput):
-            group_closure([(1, 0, 2, 3, 4, 5, 6, 7),
-                           (1, 2, 3, 4, 5, 6, 7, 0)], 8, cap=100)
-
 
 class TestQuotientByAutomorphism:
     def test_rejects_non_automorphism(self):
         with pytest.raises(BadInput):
-            quotient_by_automorphism(named_graph("theta_loop"), [(1, 0, 2, 3)])
+            quotient_by_involution(named_graph("theta_loop"), (1, 0, 2, 3))
 
     def test_rejects_non_free_action(self):
         # transposition fixing two vertices of K4
         with pytest.raises(BadInput):
-            quotient_by_automorphism(named_graph("k4"), [(1, 0, 2, 3)])
+            quotient_by_involution(named_graph("k4"), (1, 0, 2, 3))
+
+    def test_rejects_free_automorphism_of_order_four(self):
+        # the 4-cycle rotation of K4 is free but not an involution
+        assert is_automorphism(named_graph("k4"), (1, 2, 3, 0))
+        with pytest.raises(BadInput, match="involution"):
+            quotient_by_involution(named_graph("k4"), (1, 2, 3, 0))
 
     def test_k4_by_double_transposition(self):
         G = named_graph("k4")
-        Q = quotient_by_automorphism(G, [(1, 0, 3, 2)])
+        Q = quotient_by_involution(G, (1, 0, 3, 2))
         # orbits {0,1} and {2,3}: the orbit pair edge (0,1) swaps, so a
         # half-loop; the four cross edges give a doubled quotient edge
         assert Q.n == 2
@@ -84,24 +77,24 @@ class TestQuotientByAutomorphism:
     def test_structural_rule_matches_row_sum_oracle(self):
         cases = []
         G = named_graph("k4")
-        cases.append((G, [(1, 0, 3, 2)]))
-        cube = named_graph("cube")
+        cases.append((G, (1, 0, 3, 2)))
         rot = ring_reflection(doubled_cycle_cover(), 2, (3, 2, 1, 0), 1)
-        cases.append((cyclic_quotient(doubled_cycle_cover(), 2), [rot]))
+        cases.append((cyclic_quotient(doubled_cycle_cover(), 2), rot))
         for n in (2, 3, 4):
             Q = cyclic_quotient(doubled_cycle_cover(), 2 * n)
-            cases.append((Q, [ring_reflection(doubled_cycle_cover(), 2 * n,
-                                              (3, 2, 1, 0), 1)]))
-        for parent, perms in cases:
-            folded = quotient_by_automorphism(parent, perms)
-            assert np.array_equal(folded.adjacency(),
-                                  quotient_adjacency_by_row_sums(parent, perms))
+            cases.append((Q, ring_reflection(doubled_cycle_cover(), 2 * n,
+                                             (3, 2, 1, 0), 1)))
+        for parent, sigma in cases:
+            folded = quotient_by_involution(parent, sigma)
+            assert np.array_equal(
+                folded.adjacency(),
+                quotient_adjacency_by_row_sums(parent, sigma))
 
     def test_quotient_spectrum_inside_parent(self):
         for n in (2, 3, 5):
             parent = cyclic_quotient(doubled_cycle_cover(), 2 * n)
             sigma = ring_reflection(doubled_cycle_cover(), 2 * n, (3, 2, 1, 0), 1)
-            Q = quotient_by_automorphism(parent, [sigma])
+            Q = quotient_by_involution(parent, sigma)
             sp, sq = spectrum(parent), spectrum(Q)
             for lam in sq:
                 assert np.min(np.abs(sp - lam)) < 1e-9
@@ -114,16 +107,16 @@ class TestQuotientByAutomorphism:
         R = cyclic_quotient(P, 4)
         sigma = ring_reflection(P, 4, (1, 0), 1)
         assert is_automorphism(R, sigma)
-        Q = quotient_by_automorphism(R, [sigma])
+        Q = quotient_by_involution(R, sigma)
         assert Q.is_cubic
         assert np.array_equal(Q.adjacency(),
-                              quotient_adjacency_by_row_sums(R, [sigma]))
+                              quotient_adjacency_by_row_sums(R, sigma))
 
     def test_half_loops_descend(self):
         base = Multigraph(2, [(0, 1), (0, 1)], half_loops=(0, 1))
         sigma = (1, 0)
         assert is_automorphism(base, sigma)
-        Q = quotient_by_automorphism(base, [sigma])
+        Q = quotient_by_involution(base, sigma)
         # both parallel in-orbit edges are swapped by sigma and fold to
         # half-loops, joining the descended one: three in total, cubic
         assert Q.n == 1

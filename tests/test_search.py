@@ -77,6 +77,14 @@ class TestRankOne:
         with pytest.raises(BadInput, match="seed 1 carries half-loops"):
             search_covers([named_graph("k4"), half], rank=1, N=32)
 
+    def test_disconnected_seed_is_refused_by_index(self):
+        # two theta components: every cover of it is disconnected, so
+        # the sweep used to skip every candidate and return no rows
+        split = Multigraph(4, [(0, 1)] * 3 + [(2, 3)] * 3)
+        assert split.is_cubic and not split.is_connected()
+        with pytest.raises(BadInput, match="seed 1 is disconnected"):
+            search_covers([named_graph("k4"), split], rank=1, N=32)
+
 
 class TestRankTwoRediscovery:
     def test_four_vertex_seeds_find_two_band_cover(self):
