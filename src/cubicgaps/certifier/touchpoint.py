@@ -418,6 +418,42 @@ def certify_touchpoint(P: PeriodicGraph, theta_t: float,
     )
 
 
+def _field(doc: dict, name: str, parse):
+    """parse(doc[name]), refusing a missing or malformed field as
+    BadInput named after the field, as `PeriodicGraph.from_json` refuses
+    malformed cover JSON (BadInput is a ValueError)."""
+    if name not in doc:
+        raise BadInput(f"certificate has no {name!r} field")
+    try:
+        return parse(doc[name])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise BadInput(f"malformed certificate field {name!r}: {exc}") \
+            from exc
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _integer(value) -> int:
+    # int() would truncate a stored 0.5 to a vector entry 0
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _eigenpairs(pairs) -> list:
+    return [(decode_exact(lam), tuple(_integer(x) for x in vec))
+            for lam, vec in pairs]
+
+
+def _exact_interval(blob) -> tuple:
+    lo, hi = blob
+    return decode_exact(lo), decode_exact(hi)
+
+
 def verify_certificate(doc: dict) -> GapCertificate:
     """Re-verify a serialized certificate in exact arithmetic.
 
@@ -428,18 +464,25 @@ def verify_certificate(doc: dict) -> GapCertificate:
     evaluating the touch-angle characteristic polynomial, a quadratic
     one by dividing that polynomial by the endpoint's minimal
     polynomial.  The certified gap must be one of the stored gaps.
-    Floating-point state never enters the decision.
+    Floating-point state never enters the decision.  A missing or
+    malformed field raises BadInput before any check runs.
     """
-    if doc.get("format") != CERT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CERT_FORMAT:
         raise BadInput("not a gap certificate document")
-    P = PeriodicGraph.from_json(doc["cover"])
-    if cover_id(P) != doc["cover_id"]:
+    P = _field(doc, "cover", PeriodicGraph.from_json)
+    doc_id = _field(doc, "cover_id", _text)
+    theta_t = _field(doc, "touch_angle", _theta_value)
+    claimed = _field(doc, "eigenpairs", _eigenpairs)
+    stored_gaps = _field(doc, "gaps",
+                         lambda blobs: [_exact_interval(b) for b in blobs])
+    lo, hi = _field(doc, "gap", _exact_interval)
+    symmetry = _field(doc, "symmetry", dict)
+    extremum = _field(doc, "extremum",
+                      lambda rows: tuple(tuple(row) for row in rows))
+    if cover_id(P) != doc_id:
         raise RefusedCertificate("cover id does not match cover data",
                                  failing_index=None)
-    theta_t = _theta_value(doc["touch_angle"])
     A = _integer_touch_matrix(P, theta_t)
-    claimed = [(decode_exact(lam), tuple(int(x) for x in vec))
-               for lam, vec in doc["eigenpairs"]]
     for lam, _ in claimed:
         if isinstance(lam, QuadExt):
             raise RefusedCertificate("eigenpair with irrational lambda",
@@ -447,13 +490,11 @@ def verify_certificate(doc: dict) -> GapCertificate:
     _check_claimed(A, claimed)
     touch_polys = [char_poly(_integer_touch_matrix(P, t))
                    for t in (0.0, math.pi)]
-    gaps = []
-    for blob in doc["gaps"]:
-        lo, hi = (decode_exact(x) for x in blob)
-        if float(lo) >= float(hi):
+    for a, b in stored_gaps:
+        if float(a) >= float(b):
             raise RefusedCertificate("empty gap interval in certificate",
                                      failing_index=None)
-        for v in (lo, hi):
+        for v in (a, b):
             fv = float(v)
             if abs(fv) == 3.0 and not isinstance(v, QuadExt):
                 continue
@@ -461,18 +502,16 @@ def verify_certificate(doc: dict) -> GapCertificate:
                 raise RefusedCertificate(
                     f"gap endpoint {fv:.9f} is not an exact touch-angle "
                     "eigenvalue", failing_index=None)
-        gaps.append((lo, hi))
-    lo, hi = (decode_exact(x) for x in doc["gap"])
-    if (lo, hi) not in gaps:
+    if (lo, hi) not in stored_gaps:
         raise RefusedCertificate("the certified gap is not one of the "
                                  "certificate's gaps", failing_index=None)
     return GapCertificate(
-        cover_id=doc["cover_id"],
+        cover_id=doc_id,
         cover=doc["cover"],
         touch_angle=doc["touch_angle"],
         eigenpairs=tuple(claimed),
-        symmetry=dict(doc["symmetry"]),
-        extremum=tuple(tuple(row) for row in doc["extremum"]),
+        symmetry=symmetry,
+        extremum=extremum,
         gap=(lo, hi),
-        gaps=tuple(gaps),
+        gaps=tuple(stored_gaps),
     )

@@ -9,8 +9,8 @@ read the cover, and everything else goes through them:
   the stored edges (u <= v) that carry offset o.  The twisted adjacency
   at a unit-modulus character z is A(z) = M(z) + M(z)^H with
   M(z) = sum_o z^o B_o.  twisted_adjacency evaluates it at one z or a
-  stack of them, bands over the whole torus grid, and the touch-point
-  certifier exactly at z = +-1.
+  stack of them, bands at one point of each conjugate pair of the
+  torus grid, and the touch-point certifier exactly at z = +-1.
 - lift, the finite quotient with deck group Z/n or Z/n1 x Z/n2 (a
   voltage-graph lift, Gross & Tucker).  cyclic_quotient and
   torus_quotient are lifts.  A lift's spectrum equals the twisted
@@ -218,7 +218,10 @@ class BandStructure:
 
     thetas: one angle array per axis (full circle, includes 0 and -pi).
     values: shape (samples, n) with rows sorted ascending; for rank 2
-    the samples enumerate the angle grid in row-major order.
+    the samples enumerate the angle grid in row-major order.  Of the
+    rows at theta and -theta, the one with the higher row-major index
+    is a byte copy of the other: A(-theta) = conj A(theta), since every
+    offset matrix B_o is real (see bands).
     """
 
     rank: int
@@ -237,11 +240,26 @@ def _angle_grid(N: int) -> np.ndarray:
 
 
 def bands(P: PeriodicGraph, N: int) -> BandStructure:
-    """Eigen-decompose the twisted adjacency over an N (or N x N) grid."""
+    """Eigen-decompose the twisted adjacency over an N (or N x N) grid,
+    solving one point of each conjugate pair.
+
+    Proof that the pair shares its spectrum: every B_o is a real integer
+    matrix, so A(conj z) = M(z)^T + conj M(z) = A(z)^T = conj A(z), and a
+    Hermitian matrix, its transpose and its conjugate have the same
+    eigenvalues.  Grid index k has angle -pi + 2 pi k / N, so the mirror
+    of k is (-k) mod N on each axis; 0 and N/2 are their own mirrors.
+    Each pair is solved at its lower row-major index (theta in [-pi, 0]
+    on the circle) and the other row is a copy of that row."""
     th = _angle_grid(N)
     axes = np.meshgrid(*[np.exp(1j * th)] * P.rank, indexing="ij")
     z = np.stack([a.ravel() for a in axes], axis=1)
-    vals = np.linalg.eigvalsh(_evaluate(P, z))
+    shape = (N,) * P.rank
+    flat = np.arange(len(z))
+    mirror = np.ravel_multi_index(
+        tuple((-k) % N for k in np.unravel_index(flat, shape)), shape)
+    # keep: the representatives in row order; row: each row's position
+    keep, row = np.unique(np.minimum(flat, mirror), return_inverse=True)
+    vals = np.linalg.eigvalsh(_evaluate(P, z[keep]))[row]
     return BandStructure(P.rank, (th,) * P.rank, vals)
 
 

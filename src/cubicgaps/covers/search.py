@@ -224,7 +224,10 @@ def iter_search_covers(seeds, rank: int = 2, two_link: bool = True,
     edge pair spans the torus, reported whole (on a reduced grid) and
     sliced along each coprime direction at the full grid N.  Only the
     first edge choice of each seed-automorphism orbit is tried; the
-    others give relabelled copies of covers already seen.  A row is
+    others give relabelled copies of covers already seen.  A cover that
+    repeats one of the same seed exactly (same offsets and grid, as the
+    axis slices of two pairs sharing an edge do) is skipped before its
+    eigensolve, since its key is the first copy's.  A row is
     dropped when its band picture, rounded to 6 digits with zero-width
     intervals read as points, was seen before.  A kept row's quotient
     planarity reads the seed's planar rotation systems, which are
@@ -246,7 +249,13 @@ def iter_search_covers(seeds, rank: int = 2, two_link: bool = True,
             raise BadInput(f"cover search seed {i} is disconnected, so it "
                            "has no connected cover")
         rotations = planar_rotations(seed) if is_planar(seed) else []
+        tried = set()
         for offs, subtorus, cover, grid in _candidates(seed, rank, two_link, N):
+            # the (1, 0) and (0, 1) slices of pairs sharing an edge are
+            # one single-edge cover, whose repeat has a seen key
+            if (cover.offsets, grid) in tried:
+                continue
+            tried.add((cover.offsets, grid))
             report = gap_report(bands(cover, grid))
             key = _dedup_key(seed.n, report)
             if key in seen:

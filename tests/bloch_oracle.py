@@ -5,8 +5,10 @@ one deck-group lift.
 `oracle_twisted_adjacency` and `oracle_band_values` build the twisted
 adjacency one edge at a time: a rank-1 grid raises exp(i theta) to each
 edge's offset, a rank-2 grid takes exp(i (o1 theta1 + o2 theta2)) per
-edge.  The tests compare the library's eigenvalues with these byte for
-byte.  `oracle_quotient` wraps a rank-1 cover on a ring and a rank-2
+edge.  The oracle solves every grid point at its own angle; the tests
+compare the library's eigenvalues with these byte for byte on the
+points the library solves, one of each conjugate pair, and within
+rounding on the mirror rows it copies.  `oracle_quotient` wraps a rank-1 cover on a ring and a rank-2
 cover on a torus with its own loops; the lift must give the same
 Multigraph, name included.
 """

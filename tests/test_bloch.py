@@ -1,12 +1,14 @@
 """The per-offset Bloch assembly and the deck-group lift.
 
-The byte-for-byte tests hold `bands` to the per-edge loops of
-`bloch_oracle.py` on the search candidates and the reference covers.
-The properties draw random connected covers of the cubic cells with at
-most 6 vertices (loops and multi-edges included, offsets in -3..3) and
-check the lift against the twisted spectrum at roots of unity, the
-exact touch matrices against the float assembly, and the lift against
-the per-rank wraps of the oracle.
+The oracle tests hold `bands` to the per-edge loops of `bloch_oracle.py`
+on the search candidates and the reference covers: byte for byte on the
+grid points `bands` solves, one of each conjugate pair, and within
+rounding on the mirror rows, which are byte copies.  The properties
+draw random connected covers of the cubic cells with at most 6 vertices
+(loops and multi-edges included, offsets in -3..3) and check the lift
+against the twisted spectrum at roots of unity, the exact touch matrices
+against the float assembly, the lift against the per-rank wraps of the
+oracle, and the mirror identity A(-theta) = conj A(theta) = A(theta)^T.
 """
 
 import itertools
@@ -38,18 +40,37 @@ def _search_covers(n, rank):
             yield P, grid
 
 
+def _mirror_rows(rank, N):
+    """The row of each grid point's mirror: angle -theta is grid index
+    (N - k) mod N on each axis, and rank-2 rows run row-major."""
+    points = list(itertools.product(range(N), repeat=rank))
+    row = {k: i for i, k in enumerate(points)}
+    return np.array([row[tuple((N - c) % N for c in k)] for k in points])
+
+
+def _check_against_oracle(P, N):
+    # bands solves the lower row of each conjugate pair and copies it
+    # to the upper; the oracle solves every row at its own angle
+    vals = bands(P, N).values
+    oracle = oracle_band_values(P, N)
+    rows = np.arange(len(vals))
+    rep = np.minimum(rows, _mirror_rows(P.rank, N))
+    solved = rep == rows
+    assert vals[solved].tobytes() == oracle[solved].tobytes(), P.offsets
+    assert vals.tobytes() == vals[rep].tobytes(), P.offsets
+    assert np.abs(vals - oracle).max() < 1e-12, P.offsets
+
+
 @pytest.mark.parametrize("n, rank", [(4, 1), (4, 2), (6, 2)])
 def test_bands_bit_equal_on_search_candidates(n, rank):
     for P, grid in _search_covers(n, rank):
-        assert bands(P, grid).values.tobytes() == \
-            oracle_band_values(P, grid).tobytes(), P.offsets
+        _check_against_oracle(P, grid)
 
 
 @pytest.mark.parametrize("P", [prism_band_cover(), doubled_cycle_cover()],
                          ids=lambda P: P.name)
 def test_reference_covers_bit_equal(P):
-    assert bands(P, 256).values.tobytes() == \
-        oracle_band_values(P, 256).tobytes()
+    _check_against_oracle(P, 256)
     for th in (0.0, math.pi, 0.7, -2.1):
         z = [complex(math.cos(th), math.sin(th))]
         assert twisted_adjacency(P, z).tobytes() == \
@@ -239,3 +260,28 @@ def test_stacked_twisted_adjacency_is_per_character_bytes_on_covers(case):
     A = twisted_adjacency(P, z)
     for zi, Ai in zip(z, A):
         assert Ai.tobytes() == twisted_adjacency(P, zi).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 2)).flatmap(
+    lambda r: st.tuples(covers(r), st.lists(st.floats(-4, 4), min_size=r,
+                                            max_size=r))))
+def test_mirrored_character_is_conjugate_and_transpose(case):
+    # every B_o is real, so A(-theta) = conj A(theta) = A(theta)^T and
+    # the pair shares its spectrum
+    P, thetas = case
+    th = np.array(thetas)
+    A = twisted_adjacency(P, np.exp(1j * th))
+    M = twisted_adjacency(P, np.exp(-1j * th))
+    assert np.abs(M - A.conj()).max() < 1e-12
+    assert np.abs(M - A.T).max() < 1e-12
+    assert np.abs(np.linalg.eigvalsh(M)
+                  - np.linalg.eigvalsh(A)).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((1, 2)).flatmap(covers),
+       st.sampled_from((16, 18, 32)))
+def test_bands_mirror_rows_copy_their_representatives(P, N):
+    vals = bands(P, N).values
+    assert vals.tobytes() == vals[_mirror_rows(P.rank, N)].tobytes()

@@ -154,6 +154,39 @@ class TestSerialization:
         with pytest.raises(BadInput):
             verify_certificate({"format": "something-else"})
 
+    @pytest.mark.parametrize("field", ["cover", "cover_id", "touch_angle",
+                                       "eigenpairs", "gaps", "gap",
+                                       "symmetry", "extremum"])
+    def test_missing_field_is_bad_input(self, wa_cert, field):
+        doc = json.loads(json.dumps(wa_cert[2].to_json()))
+        del doc[field]
+        with pytest.raises(BadInput, match=f"no '{field}' field"):
+            verify_certificate(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("cover", "K4"),
+        ("cover", {"base": {"n": 2}}),
+        ("cover_id", 17),
+        ("touch_angle", "pi/2"),
+        ("eigenpairs", 3),
+        ("eigenpairs", [["1"]]),
+        ("eigenpairs", [["1", [0, "x", 1]]]),
+        ("eigenpairs", [["1", [0, 0.5, 1]]]),
+        ("gaps", [["-3"]]),
+        ("gaps", [["-3", "1/0"]]),
+        ("gaps", [["-3", [1, 2]]]),
+        ("gap", "0"),
+        ("gap", ["-3", None]),
+        ("symmetry", 5),
+        ("extremum", 5),
+    ])
+    def test_malformed_field_is_bad_input(self, wa_cert, field, value):
+        doc = json.loads(json.dumps(wa_cert[2].to_json()))
+        doc[field] = value
+        with pytest.raises(BadInput, match=f"malformed certificate field "
+                           f"'{field}'"):
+            verify_certificate(doc)
+
     def test_tampered_gap_endpoint_refused(self, wa_cert):
         _, _, cert = wa_cert
         doc = json.loads(json.dumps(cert.to_json()))

@@ -180,18 +180,18 @@ class TestSearch:
     def test_default_seed_outputs_are_pinned(self, tmp_path):
         # the 4-vertex seeds share two band pictures across seeds, so
         # these digests also pin the cross-seed dedup; they also pin the
-        # automorphism-orbit skip and the point-normalised dedup key
-        # (83 rows, 13 planar)
+        # automorphism-orbit skip, the point-normalised dedup key and
+        # the mirror rows that `bands` copies (83 rows, 13 planar)
         assert run("search", "--rank", 2, "--grid", 64,
                    "--out", tmp_path) == 0
         digests = {name: hashlib.sha256(
             (tmp_path / name).read_bytes()).hexdigest()
             for name in ("catalog.jsonl", "search_report.json")}
         assert digests == {
-            "catalog.jsonl": "80de20c71d128976afb975dd617b8b33"
-                             "32f4cd3db05b9f85c34904c633381c42",
-            "search_report.json": "e10659cc2cd053cca696aff0759b9b6d"
-                                  "330ebb7913ac92507f59cca2ebf85299",
+            "catalog.jsonl": "02e97ff75feb117d04c859cebb1eddc6"
+                             "b4e20a55c0daaa534f44438c41ee8ce7",
+            "search_report.json": "696ab30629870c02f178abcbce7570fd"
+                                  "d961a6a63ffcd9e65d4d2c31d3c426e5",
         }
 
     def test_half_loop_seed_exits_4(self, tmp_path, capsys):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicgaps.dynamics import IntervalSet
 from cubicgaps.errors import BadInput
@@ -93,3 +95,51 @@ def test_bounds_and_empty():
     assert e.is_empty
     with pytest.raises(BadInput):
         e.bounds()
+
+
+# endpoints on a coarse grid meet, touch and nest often; free floats
+# catch the rest
+coords = st.one_of(st.integers(-40, 40).map(lambda k: k / 8),
+                   st.floats(-5.0, 5.0, allow_nan=False))
+
+
+@st.composite
+def interval_sets(draw):
+    ivs = [tuple(sorted(draw(st.tuples(coords, coords))))
+           for _ in range(draw(st.integers(0, 5)))]
+    return IntervalSet(tuple(ivs), tuple(draw(st.lists(coords, max_size=4))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_sets(), interval_sets(), interval_sets())
+def test_union_is_commutative_associative_and_idempotent(a, b, c):
+    assert a.union(b) == b.union(a)
+    assert a.union(b).union(c) == a.union(b.union(c))
+    assert a.union(a) == a
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_sets())
+def test_self_intersection_is_the_identity(a):
+    assert a.intersect(a) == a
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_sets(), coords, coords)
+def test_complement_in_partitions_the_box(s, x, y):
+    # gap_report builds every stored gap from complement_in
+    lo, hi = min(x, y), max(x, y)
+    if lo == hi:
+        hi = lo + 1.0
+    gaps = s.complement_in(lo, hi)
+    assert not gaps.points
+    for c, d in gaps.intervals:
+        assert lo <= c < d <= hi
+        assert all(max(a, c) >= min(b, d) for a, b in s.intervals)
+    inside = [(max(a, lo), min(b, hi)) for a, b in s.intervals
+              if a <= hi and b >= lo]
+    reach = lo
+    for c, d in sorted(gaps.intervals + tuple(inside)):
+        assert c <= reach
+        reach = max(reach, d)
+    assert reach == hi

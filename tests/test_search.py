@@ -238,6 +238,22 @@ class TestPlanarSearch:
         assert any(e.planar_quotients for e in entries)
         assert calls == {"is_planar": len(seeds), "cyclic_quotient": 0}
 
+    def test_each_cover_is_eigensolved_once(self, monkeypatch):
+        # the (1, 0) and (0, 1) slices of two pairs that share an edge
+        # are one single-edge cover, skipped before its second `bands`
+        solved = []
+
+        def counted(P, N):
+            solved.append((P.base.n, P.base.edges, P.offsets, N))
+            return bands(P, N)
+
+        monkeypatch.setattr(search, "bands", counted)
+        seeds = enumerate_cubic_multigraphs(4)
+        assert search_covers(seeds, N=64)
+        tried = sum(1 for seed in seeds
+                    for _ in search._candidates(seed, 2, True, 64))
+        assert len(solved) == len(set(solved)) < tried
+
     def test_regenerated_catalog_is_byte_identical(self, tmp_path,
                                                    small_cell_search):
         entries = [e for e in small_cell_search if e.planar_quotients]
