@@ -25,10 +25,13 @@ adjacent, (d) three consecutive.  Kinds (c) and (d) are captured into
 segments along with their geodesic windows; (a) and (b) stay outside.
 A capture segment's Hamilton path zigzags: ... g_i, u, g_(i+1) ... for a
 (c) capture and ... g_i, u, g_(i+1), g_(i+2) ... for a (d) capture.
-Segments grow by merging whenever one outside vertex touches two of
-them, and may additionally capture an outside vertex with two or more
+Segments may additionally capture an outside vertex with two or more
 edges into the segment when it embeds into the alpha -> beta Hamilton
-path.  Leftover plain geodesic runs are type XII.  Tags I-XI are
+path.  Leftover plain geodesic runs are type XII.  One rule grows
+segments: whenever an outside vertex touches two materialized segments,
+one capture window covers both and the segments are rebuilt.  Each
+merge joins two windows or takes in a plain geodesic position, so a
+geodesic of length t sees at most t merges.  Tags I-XI are
 assigned by content: I single (d), II single (c), III two (c), IV one
 (c) plus an extra captured outsider, V one (d) plus extra, VI (c)+(d),
 VII two (d), VIII three or more captures, IX two (c) plus extra, X other
@@ -332,10 +335,18 @@ def decompose_geodesic(X: Multigraph) -> SegmentDecomposition:
     multi-attached outsiders) into segments with explicit Hamilton
     orders; validates that plain (XII) runs see only kind-(a)/(b)
     outsiders and that no outside vertex joins two distinct segments.
+
+    One rule merges segments: materialize them, find the first outside
+    vertex touching two, cover those two with one capture window
+    (`_cover_with_window`), and repeat.  Windows only grow.  Count each
+    window and each geodesic position outside every window as one
+    piece: there are at most t + 1 pieces and never fewer than one, and
+    a merge joins at least two of them (two windows, or a window and a
+    plain position it did not cover), so at most t merges happen and
+    the t + 2 passes below always settle.  A disconnected X is refused
+    with BadInput by `diameter_and_geodesic`.
     """
     X.require_cubic("geodesic decomposition")
-    if not X.is_connected():
-        raise BadInput("graph must be connected")
     _, g = diameter_and_geodesic(X)
     adj = _neighbor_sets(X)
     n = X.n
@@ -362,35 +373,22 @@ def decompose_geodesic(X: Multigraph) -> SegmentDecomposition:
 
     pos = {v: i for i, v in enumerate(g)}
 
-    # outer loop: capturing embeddable outsiders can create fresh contacts
-    # between segments, which in turn force more window merging
     for _ in range(t + 2):
-        windows = _merge_windows_fixpoint(windows, g, pos, adj, n, t)
         segments = _materialize_segments(windows, g, pos, adj, n, t)
-        neighborhood = frozenset().union(*(set(s.order) for s in segments))
-        seg_of = {}
-        for i, s in enumerate(segments):
-            for v in s.order:
-                seg_of[v] = i
-        violation = None
+        seg_of = {v: i for i, s in enumerate(segments) for v in s.order}
+        neighborhood = frozenset(seg_of)
         for x in range(n):
-            if x in neighborhood:
-                continue
-            touched = sorted({seg_of[u] for u in adj[x]
-                              if u in neighborhood})
-            if len(touched) > 1:
-                violation = (x, touched)
+            touched = {seg_of[u] for u in adj[x] if u in seg_of}
+            if x not in seg_of and len(touched) > 1:
                 break
-        if violation is None:
-            break
-        x, touched = violation
+        else:
+            break  # no outside vertex touches two segments
         positions = []
         any_capture = False
-        for i in touched:
+        for i in sorted(touched):
             s = segments[i]
             if s.tag == "XII":
-                members = set(s.order)
-                positions.extend(pos[u] for u in adj[x] if u in members)
+                positions.extend(pos[u] for u in adj[x] if seg_of.get(u) == i)
             else:
                 any_capture = True
                 positions.extend(s.span)
@@ -436,68 +434,6 @@ def _cover_with_window(windows, lo, hi):
     out.append([lo, hi, merged_caps])
     out.sort(key=lambda wdw: wdw[0])
     return out
-
-
-def _merge_windows_fixpoint(windows, g, pos, adj, n, t):
-    """Grow capture windows until no outside vertex touches two regions
-    (a region being a window or a maximal plain run)."""
-    while True:
-        captured_in = {}
-        for wdw in windows:
-            for _, _, _, u in wdw[2]:
-                captured_in[u] = wdw
-
-        def xii_run_of(p):
-            lo, hi = 0, t
-            for wdw in windows:
-                if wdw[1] < p:
-                    lo = max(lo, wdw[1] + 1)
-                elif wdw[0] > p:
-                    hi = min(hi, wdw[0] - 1)
-            return (lo, hi)
-
-        def region_of(vertex):
-            if vertex in captured_in:
-                return id(captured_in[vertex])
-            p = pos.get(vertex)
-            if p is None:
-                return None
-            for wdw in windows:
-                if wdw[0] <= p <= wdw[1]:
-                    return id(wdw)
-            return ("xii",) + xii_run_of(p)
-
-        conflict = None
-        core = set(g) | set(captured_in)
-        for x in range(n):
-            if x in core:
-                continue
-            touched = {}
-            for u in adj[x]:
-                r = region_of(u)
-                if r is not None:
-                    touched.setdefault(r, []).append(u)
-            if len(touched) > 1:
-                conflict = (x, touched)
-                break
-        if conflict is None:
-            return windows
-        x, touched = conflict
-        positions = []
-        hit_windows = []
-        for r, verts in touched.items():
-            if isinstance(r, tuple):
-                positions.extend(pos[u] for u in verts)
-            else:
-                wdw = next(w for w in windows if id(w) == r)
-                hit_windows.append(wdw)
-                positions.extend([wdw[0], wdw[1]])
-        if not hit_windows:
-            raise DecompositionFailure(
-                "outside vertex joins two plain runs with no capture "
-                "between", report={"vertex": x,
-                                   "positions": sorted(positions)})
-        windows = _cover_with_window(windows, min(positions), max(positions))
 
 
 def _materialize_segments(windows, g, pos, adj, n, t):

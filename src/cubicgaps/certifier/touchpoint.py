@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..errors import BadInput, NumericalFailure, RefusedCertificate
+from ..errors import BadInput, NumericalFailure, RefusedCertificate, _field
 from ..covers.periodic import (
     _FLAT_TOL,
     PeriodicGraph,
@@ -418,19 +418,6 @@ def certify_touchpoint(P: PeriodicGraph, theta_t: float,
     )
 
 
-def _field(doc: dict, name: str, parse):
-    """parse(doc[name]), refusing a missing or malformed field as
-    BadInput named after the field, as `PeriodicGraph.from_json` refuses
-    malformed cover JSON (BadInput is a ValueError)."""
-    if name not in doc:
-        raise BadInput(f"certificate has no {name!r} field")
-    try:
-        return parse(doc[name])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise BadInput(f"malformed certificate field {name!r}: {exc}") \
-            from exc
-
-
 def _text(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {value!r}")
@@ -469,15 +456,15 @@ def verify_certificate(doc: dict) -> GapCertificate:
     """
     if not isinstance(doc, dict) or doc.get("format") != CERT_FORMAT:
         raise BadInput("not a gap certificate document")
-    P = _field(doc, "cover", PeriodicGraph.from_json)
-    doc_id = _field(doc, "cover_id", _text)
-    theta_t = _field(doc, "touch_angle", _theta_value)
-    claimed = _field(doc, "eigenpairs", _eigenpairs)
-    stored_gaps = _field(doc, "gaps",
+    P = _field(doc, "certificate", "cover", PeriodicGraph.from_json)
+    doc_id = _field(doc, "certificate", "cover_id", _text)
+    theta_t = _field(doc, "certificate", "touch_angle", _theta_value)
+    claimed = _field(doc, "certificate", "eigenpairs", _eigenpairs)
+    stored_gaps = _field(doc, "certificate", "gaps",
                          lambda blobs: [_exact_interval(b) for b in blobs])
-    lo, hi = _field(doc, "gap", _exact_interval)
-    symmetry = _field(doc, "symmetry", dict)
-    extremum = _field(doc, "extremum",
+    lo, hi = _field(doc, "certificate", "gap", _exact_interval)
+    symmetry = _field(doc, "certificate", "symmetry", dict)
+    extremum = _field(doc, "certificate", "extremum",
                       lambda rows: tuple(tuple(row) for row in rows))
     if cover_id(P) != doc_id:
         raise RefusedCertificate("cover id does not match cover data",

@@ -415,8 +415,6 @@ def cmd_capacity(cfg: RunConfig, args) -> int:
 
 def cmd_witness(cfg: RunConfig, args) -> int:
     catalog_file = Path(args.catalog) if args.catalog else default_catalog_path()
-    if not catalog_file.exists():
-        raise BadInput(f"catalog not found: {catalog_file}")
     rows = load_catalog(catalog_file)
     sha = catalog_hash(catalog_file)
     plan = plan_gap_witness(args.xi, args.delta, rows)
@@ -427,7 +425,7 @@ def cmd_witness(cfg: RunConfig, args) -> int:
           f"(family {plan.family_id}, half-width {_fmt(plan.delta_used)})")
     if not args.realize:
         return 0
-    row = next((r for r in rows if r["id"] == plan.family_id), None)
+    row = next((r for r in rows if r.get("id") == plan.family_id), None)
     if row is None:
         raise BadInput(f"plan family {plan.family_id} missing from catalog")
     Q = cyclic_quotient(entry_cover(row), args.decks)

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 from ..dynamics.intervals import IntervalSet
-from ..errors import BadInput
+from ..errors import BadInput, _field
 from ..graphcore.multigraph import Multigraph, automorphisms
 from ..graphcore.planarity import is_planar, planar_rotations
 from .periodic import (GapReport, PeriodicGraph, bands, derived_embedding,
@@ -335,16 +335,26 @@ def save_catalog(entries, path) -> str:
 
 
 def load_catalog(path) -> list:
+    """The JSON object on each non-blank line; an unreadable file or a
+    line that is not a JSON object raises BadInput."""
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise BadInput(f"malformed catalog line: {exc}") from exc
+    try:
+        with open(path) as fh:
+            for number, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise BadInput(f"malformed catalog line: {exc}") from exc
+                if not isinstance(row, dict):
+                    raise BadInput(
+                        f"catalog line {number} is not a JSON object")
+                rows.append(row)
+    except OSError as exc:
+        raise BadInput(
+            f"cannot read catalog {path}: {exc.strerror or exc}") from exc
     return rows
 
 
@@ -354,14 +364,24 @@ def catalog_hash(path) -> str:
 
 
 def entry_cover(row) -> PeriodicGraph:
-    """Rebuild the (possibly sliced) cover from a catalog JSON row."""
+    """Rebuild the (possibly sliced) cover from a catalog JSON row; a
+    missing or malformed field raises BadInput naming it."""
     if isinstance(row, CatalogEntry):
         return row.cover
-    base = Multigraph.from_json(row["base"])
-    offsets = tuple(tuple(o) for o in row["offsets"])
+    base = _field(row, "catalog row", "base", Multigraph.from_json)
+    offsets = _field(row, "catalog row", "offsets", _int_rows)
     rank = len(offsets[0]) if offsets else 1
     P = PeriodicGraph(base, rank, offsets, name=base.name)
     if row.get("subtorus"):
-        a, b = row["subtorus"]
+        a, b = _field(row, "catalog row", "subtorus", _int_pair)
         P = restrict_subtorus(P, a, b)
     return P
+
+
+def _int_rows(rows) -> tuple:
+    return tuple(tuple(int(c) for c in row) for row in rows)
+
+
+def _int_pair(pair) -> tuple:
+    a, b = pair
+    return int(a), int(b)

@@ -115,11 +115,15 @@ class IntervalSet:
 
         Isolated points are ignored: removing a point leaves a set whose
         closure fills it back in, so only intervals cut material out.
-        Returned pieces are the closed gap intervals.
+        Returned pieces are the closed gap intervals; a degenerate box
+        [lo, lo] outside every interval leaves the point lo.
         """
         lo, hi = _as_float(lo), _as_float(hi)
         if hi < lo:
             raise BadInput("empty box")
+        if lo == hi:
+            covered = any(a <= lo <= b for a, b in self.intervals)
+            return IntervalSet((), () if covered else (lo,))
         out = []
         cur = lo
         for a, b in self.intervals:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import BadInput, MaxIterExceeded
+from ..errors import BadInput, MaxIterExceeded, _field
 from ..graphcore.multigraph import Multigraph
 from .quadratic import f_apply
 
@@ -52,22 +52,26 @@ def _image(lo: float, hi: float):
     return min(va, vb), max(va, vb)
 
 
-def _entry_gaps(entry) -> list:
-    gaps = entry["gaps"]
+def _gap_pairs(gaps) -> list:
     if isinstance(gaps, dict):
-        return [tuple(iv) for iv in gaps.get("intervals", [])]
-    return [tuple(iv) for iv in gaps]
+        gaps = gaps.get("intervals", [])
+    return [(float(a), float(b)) for a, b in gaps]
+
+
+def _entry_id(entry) -> str:
+    return _field(entry, "catalog row", "id", str)
 
 
 def _try_plan(xi, delta, dp, catalog, k_max):
     lo, hi = xi - dp, xi + dp
     for k in range(k_max + 1):
         if hi < -3.0 - _ESCAPE_MARGIN or lo > 3.0 + _ESCAPE_MARGIN:
-            return WitnessPlan(xi, delta, dp, k, catalog[0]["id"], "escape", None)
+            return WitnessPlan(xi, delta, dp, k, _entry_id(catalog[0]),
+                               "escape", None)
         for entry in catalog:
-            for a, b in _entry_gaps(entry):
+            for a, b in _field(entry, "catalog row", "gaps", _gap_pairs):
                 if a + _GAP_MARGIN <= lo and hi <= b - _GAP_MARGIN:
-                    return WitnessPlan(xi, delta, dp, k, entry["id"],
+                    return WitnessPlan(xi, delta, dp, k, _entry_id(entry),
                                        "gap", (a, b))
         # advancing injects junk eigenvalues at 0 and -2 one level deeper,
         # so the current interval must stay clear of both

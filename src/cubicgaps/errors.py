@@ -10,6 +10,18 @@ class BadInput(ValueError):
     """Malformed or out-of-contract input (CLI exit code 4)."""
 
 
+def _field(doc: dict, what: str, name: str, parse):
+    """parse(doc[name]), refusing a missing or malformed field of the
+    document `what` (a certificate, a catalog row) as BadInput named
+    after the field."""
+    if name not in doc:
+        raise BadInput(f"{what} has no {name!r} field")
+    try:
+        return parse(doc[name])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise BadInput(f"malformed {what} field {name!r}: {exc}") from exc
+
+
 class NumericalFailure(RuntimeError):
     """A numerical consistency check failed, e.g. an inconsistent
     Richardson pair in a finite-difference derivative (CLI exit code 3)."""

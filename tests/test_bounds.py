@@ -3,6 +3,8 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cubicgaps.certifier import (DecompositionFailure, audit_gap_interval,
                                  decompose_geodesic, fekete_finiteness,
@@ -187,6 +189,62 @@ class TestDecomposeGeodesic:
                                    (6, 7), (6, 7), (6, 7)))
         with pytest.raises(BadInput):
             decompose_geodesic(X)
+
+    def test_merging_on_segments_pins_n22_seed1(self):
+        # Vertex 21, of kind (b) at positions 0 and 2, touches the (c)
+        # window over 0..1 and the plain run at 2.  It embeds into the
+        # window's Hamilton path, so it is extra-captured there and the
+        # segments need no merge.
+        X = _rand_cubic(22, 1)
+        dec = decompose_geodesic(X)
+        got = [(s.tag, s.span, s.order, s.extra_captured)
+               for s in dec.segments]
+        assert got == [("IV", (0, 1), (0, 21, 15, 14), (21,)),
+                       ("XII", (2, 7), (18, 19, 2, 3, 11, 1), ())]
+        assert dec.segments[0].size == 4
+        want = (1.31424, 1.12629, 1.2, 1.61769, 1.88544)
+        for lam, rayleigh in zip(LAMBDAS, want):
+            out = geodesic_bound(X, lam)
+            assert out["rayleigh"] == pytest.approx(rayleigh, abs=1e-12)
+            assert all(row["within"] for row in out["accounting"])
+
+
+@st.composite
+def connected_cubic(draw):
+    X = _rand_cubic(2 * draw(st.integers(5, 30)),
+                    draw(st.integers(0, 2 ** 32 - 1)))
+    assume(X.is_connected())
+    return X
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_cubic())
+def test_decomposition_properties(X):
+    dec = decompose_geodesic(X)
+    g = dec.geodesic
+    nbrs = [set(row) for row in X.neighbors()]
+    # the segments partition N_t and chain along the geodesic
+    order = dec.order
+    assert len(order) == len(set(order))
+    assert set(order) == dec.neighborhood >= set(g)
+    assert [s.span[0] for s in dec.segments] == \
+        [0] + [s.span[1] + 1 for s in dec.segments[:-1]]
+    assert dec.segments[-1].span[1] == len(g) - 1
+    # each order is a path in X from g[lo] to g[hi]
+    for s in dec.segments:
+        lo, hi = s.span
+        assert (s.alpha, s.beta) == (g[lo], g[hi])
+        assert all(b in nbrs[a] for a, b in zip(s.order, s.order[1:]))
+    seg_of = {v: i for i, s in enumerate(dec.segments) for v in s.order}
+    for x in range(X.n):
+        if x not in seg_of:
+            assert len({seg_of[u] for u in nbrs[x] if u in seg_of}) <= 1
+    # plain runs see only kind-(a)/(b) outsiders
+    for s in dec.segments:
+        if s.tag == "XII":
+            for v in s.order:
+                for u in nbrs[v] - dec.neighborhood:
+                    assert dec.attachment_types[u] in ("a", "b")
 
 
 class TestSatelliteExcess:

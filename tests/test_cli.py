@@ -305,6 +305,19 @@ class TestCertify:
     def test_bad_target_string(self, tmp_path):
         assert run("certify", "--target", "pi", "--out", tmp_path) == 4
 
+    def test_missing_catalog_exits_4(self, tmp_path, capsys):
+        assert run("certify", "--target", "(-1,1)", "--catalog",
+                   tmp_path / "missing.jsonl", "--out", tmp_path / "o") == 4
+        assert "cannot read catalog" in capsys.readouterr().err
+
+    def test_catalog_row_without_base_exits_4(self, tmp_path, capsys):
+        cat = tmp_path / "cat.jsonl"
+        cat.write_text(json.dumps(
+            {"id": "x", "gaps": [], "planar_quotients": True}) + "\n")
+        assert run("certify", "--target", "(-1,1)", "--catalog", cat,
+                   "--out", tmp_path / "o") == 4
+        assert "no 'base' field" in capsys.readouterr().err
+
 
 class TestCapacity:
     def test_level_four(self, tmp_path):
@@ -356,6 +369,27 @@ class TestWitness:
     def test_bad_delta(self, tmp_path):
         assert run("witness", "--xi", 0.0, "--delta", -1.0,
                    "--out", tmp_path) == 4
+
+    def test_missing_catalog_exits_4(self, tmp_path, capsys):
+        assert run("witness", "--xi", -1.5, "--delta", 0.05, "--catalog",
+                   tmp_path / "missing.jsonl", "--out", tmp_path / "o") == 4
+        assert "cannot read catalog" in capsys.readouterr().err
+
+    def test_catalog_row_without_gaps_exits_4(self, tmp_path, capsys):
+        cat = tmp_path / "cat.jsonl"
+        cat.write_text(json.dumps({"id": "x", "planar_quotients": True})
+                       + "\n")
+        assert run("witness", "--xi", -1.5, "--delta", 0.05,
+                   "--catalog", cat, "--out", tmp_path / "o") == 4
+        assert "no 'gaps' field" in capsys.readouterr().err
+
+    def test_catalog_line_not_an_object_exits_4(self, tmp_path, capsys):
+        cat = tmp_path / "cat.jsonl"
+        cat.write_text("[1, 2]\n")
+        assert run("witness", "--xi", -1.5, "--delta", 0.05,
+                   "--catalog", cat, "--out", tmp_path / "o") == 4
+        assert "catalog line 1 is not a JSON object" in \
+            capsys.readouterr().err
 
 
 class TestShippedCatalog:

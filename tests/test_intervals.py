@@ -68,6 +68,13 @@ def test_complement_in_box():
     assert c2.intervals == ((-3.0, -2.0), (0.0, 3.0))
 
 
+def test_complement_in_degenerate_box():
+    s = IntervalSet(((0.0, 1.0),))
+    assert s.complement_in(2.0, 2.0) == IntervalSet((), (2.0,))
+    assert s.complement_in(0.5, 0.5).is_empty
+    assert s.complement_in(1.0, 1.0).is_empty
+
+
 def test_complement_roundtrip_partition():
     s = IntervalSet(((-1.0, 0.5), (2.0, 2.5)))
     c = s.complement_in(-3.0, 3.0)
@@ -125,14 +132,14 @@ def test_self_intersection_is_the_identity(a):
 
 
 @settings(max_examples=200, deadline=None)
-@given(interval_sets(), coords, coords)
+@given(interval_sets(), coords, st.none() | coords)
 def test_complement_in_partitions_the_box(s, x, y):
-    # gap_report builds every stored gap from complement_in
-    lo, hi = min(x, y), max(x, y)
-    if lo == hi:
-        hi = lo + 1.0
+    # gap_report builds every stored gap from complement_in; y = None
+    # draws the degenerate box [x, x]
+    lo, hi = (x, x) if y is None else (min(x, y), max(x, y))
     gaps = s.complement_in(lo, hi)
-    assert not gaps.points
+    covered = any(a <= lo <= b for a, b in s.intervals)
+    assert gaps.points == ((lo,) if lo == hi and not covered else ())
     for c, d in gaps.intervals:
         assert lo <= c < d <= hi
         assert all(max(a, c) >= min(b, d) for a, b in s.intervals)
