@@ -12,8 +12,9 @@ Conventions used throughout the package:
   are kept explicit so folded graphs keep integer row sums of 3.
 
 One exact backtracking matcher answers every isomorphism question: it
-yields vertex permutations, `are_isomorphic` and the enumeration dedup
-take the first one, and `automorphisms` takes them all.
+yields vertex permutations, `are_isomorphic` takes the first one, and
+`automorphisms` takes them all.  Enumeration matches nothing: it
+generates each class once (see `enumeration`).
 """
 
 from __future__ import annotations
@@ -415,8 +416,8 @@ def are_isomorphic(G1: Multigraph, G2: Multigraph) -> bool:
 
     Cheap invariants (sizes, sorted signatures, spectrum) reject first;
     the rest is the first permutation of the neighbour-guided
-    backtracking matcher that the enumeration dedup and `automorphisms`
-    also use.  Intended for desk scale.
+    backtracking matcher that `automorphisms` also uses.  Intended for
+    desk scale.
     """
     if G1.n != G2.n or len(G1.edges) != len(G2.edges):
         return False

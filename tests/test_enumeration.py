@@ -17,11 +17,15 @@ from cubicgaps.graphcore import (
     signatures,
     spectrum,
 )
+from cubicgaps.graphcore.enumeration import _smaller
+from enumeration_oracle import generate_raw, oracle_enumerate
 
 # connected cubic multigraphs (loops allowed, loop = 2 on the diagonal)
 MULTI_COUNTS = {2: 2, 4: 5, 6: 17, 8: 71}
 # connected simple cubic graphs
 SIMPLE_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19}
+# (allow_loops, allow_multi)
+FLAGS = [(True, True), (True, False), (False, True), (False, False)]
 
 # sha256 of the representatives' edge lists, in output order, first 16
 # hex digits; pins which graph stands for each class and the order
@@ -160,4 +164,50 @@ def test_bad_n_rejected():
     with pytest.raises(BadInput):
         enumerate_cubic_multigraphs(0)
     with pytest.raises(BadInput):
-        enumerate_cubic_multigraphs(14)
+        enumerate_cubic_multigraphs(16)
+
+
+def test_counts_n12():
+    """2592 multigraph classes (OEIS A005967) and 85 simple graphs (OEIS
+    A002851) on 12 vertices."""
+    assert len(enumerate_cubic_multigraphs(12)) == 2592
+    assert len(_classes(12, simple=True)) == 85
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+@pytest.mark.parametrize("flags", FLAGS)
+def test_matches_dedup_oracle(n, flags):
+    got = enumerate_cubic_multigraphs(n, *flags)
+    assert [G.edges for G in got] == [G.edges for G in oracle_enumerate(n, *flags)]
+
+
+def test_simple_n10_matches_dedup_oracle():
+    want = oracle_enumerate(10, allow_loops=False, allow_multi=False)
+    assert [G.edges for G in _classes(10, simple=True)] == [G.edges for G in want]
+
+
+def _least(n, edges):
+    """The leaf check on a complete labelled graph given by its edges in
+    generation order: no relabelling has a smaller choice sequence."""
+    adj = [[] for _ in range(n)]
+    loop = [False] * n
+    for v, u in edges:
+        if u == v:
+            loop[v] = True
+        else:
+            adj[v].append(u)
+            adj[u].append(v)
+    seq = [0 if u == v else 1 + u for v, u in edges]
+    return not _smaller(adj, loop, [3] * n, seq)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+@pytest.mark.parametrize("flags", FLAGS)
+def test_leaf_check_keeps_first_raw_graph_of_each_class(n, flags):
+    """Among all unpruned labellings exactly one per class passes the
+    leaf check, and it is the first one the generator meets."""
+    kept = [Multigraph(n, edges).edges for edges in generate_raw(n, *flags)
+            if _least(n, edges)]
+    firsts = [G.edges for G in oracle_enumerate(n, *flags)]
+    assert len(kept) == len(firsts)
+    assert set(kept) == set(firsts)

@@ -28,9 +28,9 @@ from cubicgaps.graphcore import (
     signatures,
     spectrum,
 )
-from cubicgaps.graphcore.enumeration import _generate_raw
 from cubicgaps.graphcore.multigraph import (_invariants, _isomorphisms,
                                             _match_plan)
+from enumeration_oracle import generate_raw
 
 SMALL = [G for n in (2, 4, 6, 8) for G in enumerate_cubic_multigraphs(n)]
 
@@ -52,12 +52,12 @@ def _key(G):
 
 @functools.lru_cache(maxsize=None)
 def _shared_buckets():
-    """Buckets with at least two members: raw generator output for
-    n <= 8 (relabelled copies of one class) and the n = 10 classes
+    """Buckets with at least two members: the unpruned generator's output
+    for n <= 8 (relabelled copies of one class) and the n = 10 classes
     (cospectral pairs with equal signatures that are not isomorphic)."""
     buckets = {}
     for n in (4, 6, 8):
-        for edges in _generate_raw(n, True, True):
+        for edges in generate_raw(n, True, True):
             G = Multigraph(n, edges)
             buckets.setdefault(_key(G), []).append(G)
     for G in enumerate_cubic_multigraphs(10):
@@ -134,6 +134,12 @@ def test_same_bucket_pairs_agree_with_networkx(data):
     G1 = data.draw(st.sampled_from(bucket))
     G2 = _relabel(data, data.draw(st.sampled_from(bucket)))
     assert are_isomorphic(G1, G2) == _nx_isomorphic(G1, G2)
+
+
+def test_shared_buckets_hold_relabelled_copies():
+    buckets = _shared_buckets()
+    assert len(buckets) == 96
+    assert sum(len(b) for b in buckets) == 1574
 
 
 def test_cospectral_n10_pairs_are_told_apart():
