@@ -37,7 +37,8 @@ for v in spectrum(X):
 print("classification at depth 4:", kinds)
 
 # The map is invertible on its image: each triangle collapses back to
-# one vertex.  Graphs without a unique triangle partition are refused.
+# one vertex.  Any partition into triangles gives a preimage, so the
+# first one found is used; graphs with none are not in the image.
 back = tmap_inverse(t1)
 print("T^{-1}(T(K4)) has", back.n, "vertices")
 print("cube in the image of T?", tmap_inverse(named_graph("cube")))

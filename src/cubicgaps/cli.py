@@ -127,7 +127,7 @@ def _load_cover(path) -> PeriodicGraph:
             d = json.load(fh)
         except json.JSONDecodeError as exc:
             raise BadInput(f"not valid JSON: {path}: {exc}") from exc
-    if "base" not in d:
+    if not isinstance(d, dict) or "base" not in d:
         raise BadInput(f"not a periodic cover fixture: {path}")
     return PeriodicGraph.from_json(d)
 

@@ -7,7 +7,9 @@ connectivity, and acts on spectra by a fixed quadratic substitution:
 each eigenvalue y of the input contributes the two roots of
 x^2 - x - 3 = y, and the remaining n/2 + n/2 slots are filled by 0 and
 -2.  tmap_spectrum_predict computes that prediction; tmap_inverse
-recovers the source graph from a triangle partition when one exists.
+contracts a triangle partition, which exists exactly on the image of
+tmap.  Any partition gives a preimage, so the inverse proves its round
+trip instead of checking it by an isomorphism search.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import BadInput
-from ..graphcore.multigraph import Multigraph, are_isomorphic
+from ..graphcore.multigraph import Multigraph
 from .quadratic import f_preimage
 
 __all__ = ["tmap", "tmap_spectrum_predict", "tmap_inverse", "NotInImage"]
@@ -139,8 +141,21 @@ def _triangle_partition(G: Multigraph):
 
 
 def tmap_inverse(G: Multigraph):
-    """Invert tmap: contract a triangle partition and verify the round
-    trip by isomorphism.  Returns the source graph or NOT_IN_IMAGE."""
+    """Invert tmap: contract a triangle partition.  Returns the source
+    graph or NOT_IN_IMAGE.
+
+    The result needs no isomorphism check.  Let G be cubic without
+    half-loops, with its vertices partitioned into triangles.  A
+    triangle vertex spends two of its three degrees on its triangle's
+    two sides, so it holds exactly one other edge end, and never a
+    loop, which would raise its degree to 4.  Contracting triangle i to
+    vertex i turns those three ends into the edge ends of Z at i: a
+    cross edge joins two triangles, and a doubled side becomes a loop,
+    as tmap turns a loop into a doubled side.  So Z is cubic, and
+    sending tmap(Z)'s slot for each edge end to the vertex of G that
+    holds that end is an isomorphism tmap(Z) -> G.  Every partition
+    gives a preimage; this takes the first one found.
+    """
     G.require_cubic("tmap_inverse input")
     if G.half_loops or G.n % 3:
         return NOT_IN_IMAGE
@@ -148,27 +163,17 @@ def tmap_inverse(G: Multigraph):
     if parts is None:
         return NOT_IN_IMAGE
     part_of = {}
-    for i, tri in enumerate(parts):
-        for v in tri:
-            part_of[v] = i
-    # one copy of each triangle side is structural; everything else
-    # (cross edges, extra parallel sides, loops) becomes a source edge
-    budget = {}
+    sides = set()
     for i, (a, b, c) in enumerate(parts):
-        for e in ((a, b), (a, c), (b, c)):
-            budget[e] = 1
+        part_of.update({a: i, b: i, c: i})
+        sides.update(((a, b), (a, c), (b, c)))
+    # one copy of each triangle side is structural (sorted triples name
+    # sides as G.edges does); every other edge, cross edge or second
+    # copy of a side, becomes an edge of Z
     zedges = []
-    for u, v in G.edges:
-        e = (u, v)
-        if budget.get(e, 0) > 0:
-            budget[e] -= 1
-            continue
-        zedges.append((part_of[u], part_of[v]))
-    if any(budget.values()):
-        return NOT_IN_IMAGE
-    Z = Multigraph(len(parts), zedges)
-    if not Z.is_cubic:
-        return NOT_IN_IMAGE
-    if not are_isomorphic(tmap(Z), G):
-        return NOT_IN_IMAGE
-    return Z
+    for e in G.edges:
+        if e in sides:
+            sides.remove(e)
+        else:
+            zedges.append((part_of[e[0]], part_of[e[1]]))
+    return Multigraph(len(parts), zedges)

@@ -7,10 +7,9 @@ from .multigraph import (
     signatures,
     are_isomorphic,
     automorphisms,
-    canonical_code,
     permute,
 )
-from .enumeration import enumerate_cubic_multigraphs, named_graph, NAMED_BUILDERS, graph_id
+from .enumeration import enumerate_cubic_multigraphs, named_graph, NAMED_BUILDERS
 from .planarity import is_planar, planar_rotations, PlanarityReport
 
 __all__ = [
@@ -22,12 +21,10 @@ __all__ = [
     "signatures",
     "are_isomorphic",
     "automorphisms",
-    "canonical_code",
     "permute",
     "enumerate_cubic_multigraphs",
     "named_graph",
     "NAMED_BUILDERS",
-    "graph_id",
     "is_planar",
     "planar_rotations",
     "PlanarityReport",

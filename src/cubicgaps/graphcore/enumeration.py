@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import BadInput
-from .multigraph import Multigraph, _invariants, canonical_code
+from .multigraph import Multigraph, _invariants
 
 __all__ = ["enumerate_cubic_multigraphs", "named_graph", "NAMED_BUILDERS"]
 
@@ -293,9 +293,3 @@ def named_graph(name: str) -> Multigraph:
     except KeyError:
         raise BadInput(f"unknown graph name {name!r}; have {sorted(NAMED_BUILDERS)}")
 
-
-def graph_id(G: Multigraph) -> str:
-    """Short hex id from the canonical form (small graphs only)."""
-    import hashlib
-
-    return hashlib.sha256(canonical_code(G)).hexdigest()[:16]

@@ -13,8 +13,11 @@ Conventions used throughout the package:
 
 One exact backtracking matcher answers every isomorphism question: it
 yields vertex permutations, `are_isomorphic` takes the first one, and
-`automorphisms` takes them all.  Enumeration matches nothing: it
-generates each class once (see `enumeration`).
+`automorphisms` takes them all.  There is no canonical form.  Runtime
+code searches only where it must, for the automorphisms of a small
+cover-search seed: enumeration generates each class once (see
+`enumeration`), and `tmap_inverse` proves its round trip instead of
+searching for it (see `dynamics.trianglemap`).
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ __all__ = [
     "signatures",
     "are_isomorphic",
     "automorphisms",
-    "canonical_code",
     "permute",
 ]
 
@@ -294,8 +296,8 @@ def signatures(G: Multigraph):
     """Per-vertex local invariants, one sorted tuple per vertex.
 
     Each vertex gets (degree, loop count, half-loop count, sorted nonzero
-    off-diagonal row multiplicities).  Used to prune isomorphism search
-    and to bucket graphs before matching.
+    off-diagonal row multiplicities).  The matcher restricts candidates
+    by them, and enumeration sorts its classes by them.
     """
     return _invariants(G.n, G.edges, G.half_loops)[2]
 
@@ -432,45 +434,3 @@ def are_isomorphic(G1: Multigraph, G2: Multigraph) -> bool:
     plan = _match_plan(rows1, nbrs1, s1)
     return next(_isomorphisms(plan, rows2, nbrs2, s2), None) is not None
 
-
-def canonical_code(G: Multigraph, node_cap: int = 2_000_000) -> bytes:
-    """Label-independent canonical form.
-
-    Lexicographically minimal concatenation of adjacency rows (diagonal
-    included, lower triangle) over all vertex orderings, found by a
-    branch-and-bound over orderings with signature-based candidate
-    restriction.  Exhaustive, so keep n small (fixtures and catalog seeds
-    use n <= 8).  ``node_cap`` guards against symmetric blowups: past it
-    the search gives up with BadInput.
-    """
-    a, _, sigs = _invariants(G.n, G.edges, G.half_loops)
-    n = G.n
-    best = [None]
-    nodes = [0]
-
-    def extend(order, rows):
-        nodes[0] += 1
-        if nodes[0] > node_cap:
-            raise BadInput(f"canonical_code search exceeded node cap {node_cap} (n={n})")
-        k = len(order)
-        if k == n:
-            if best[0] is None or rows < best[0]:
-                best[0] = rows
-            return
-        used = set(order)
-        cands = []
-        for v in range(n):
-            if v in used:
-                continue
-            row = tuple(a[v][u] for u in order) + (a[v][v],)
-            cands.append((row, sigs[v], v))
-        cands.sort()
-        for row, _, v in cands:
-            new_rows = rows + row
-            m = len(new_rows)
-            if best[0] is not None and new_rows > best[0][:m]:
-                continue
-            extend(order + [v], new_rows)
-
-    extend([], ())
-    return bytes(best[0])

@@ -319,6 +319,20 @@ class TestCertify:
         assert "no 'base' field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["5", "null", "true", "[1, 2]"])
+@pytest.mark.parametrize("argv", [
+    ("bands", "COVER"),
+    ("quotient", "COVER", "-n", 3),
+    ("certify", "--target", "(-1,1)", "--cover", "COVER"),
+], ids=["bands", "quotient", "certify"])
+def test_cover_file_not_an_object_exits_4(tmp_path, capsys, argv, text):
+    p = tmp_path / "c.json"
+    p.write_text(text + "\n")
+    argv = [p if a == "COVER" else a for a in argv]
+    assert run(*argv, "--out", tmp_path / "o") == 4
+    assert "not a periodic cover fixture" in capsys.readouterr().err
+
+
 class TestCapacity:
     def test_level_four(self, tmp_path):
         assert run("capacity", "--set", "level:4", "--points", 64,

@@ -12,7 +12,6 @@ from cubicgaps.graphcore import (
     Multigraph,
     are_isomorphic,
     enumerate_cubic_multigraphs,
-    graph_id,
     named_graph,
     signatures,
     spectrum,
@@ -146,16 +145,7 @@ def test_spectrum_pins_down_theta_loop():
 def test_deterministic_order_and_ids():
     a = enumerate_cubic_multigraphs(6)
     b = enumerate_cubic_multigraphs(6)
-    assert [graph_id(G) for G in a] == [graph_id(G) for G in b]
-    ids = {graph_id(G) for G in a}
-    assert len(ids) == len(a)
-
-
-def test_graph_id_is_label_invariant():
-    from cubicgaps.graphcore import permute
-
-    G = named_graph("cube")
-    assert graph_id(G) == graph_id(permute(G, [3, 1, 0, 2, 6, 5, 7, 4]))
+    assert [G.edges for G in a] == [G.edges for G in b]
 
 
 def test_bad_n_rejected():

@@ -16,12 +16,10 @@ from hypothesis import strategies as st
 
 from cubicgaps.covers import quotient_by_involution
 from cubicgaps.covers.reference import folded_prism_ring
-from cubicgaps.errors import BadInput
 from cubicgaps.graphcore import (
     Multigraph,
     are_isomorphic,
     automorphisms,
-    canonical_code,
     enumerate_cubic_multigraphs,
     named_graph,
     permute,
@@ -240,9 +238,3 @@ def test_automorphisms_agree_with_networkx(G):
     got = list(automorphisms(G))
     assert len(got) == len(set(got))
     assert set(got) == want
-
-
-def test_canonical_code_node_cap_raises_bad_input():
-    with pytest.raises(BadInput):
-        canonical_code(named_graph("cube"), node_cap=5)
-    assert canonical_code(named_graph("k4"), node_cap=100)

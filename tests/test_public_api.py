@@ -61,3 +61,12 @@ def test_one_quotient_by_one_involution():
         for name in ("group_closure", "quotient_by_automorphism"):
             assert name not in getattr(module, "__all__", ())
             assert not hasattr(module, name)
+
+
+def test_no_canonical_form():
+    # enumeration generates each class once and tmap_inverse proves its
+    # round trip, so no graph identity is computed by canonical search
+    for module in MODULES:
+        for name in ("canonical_code", "graph_id"):
+            assert name not in getattr(module, "__all__", ())
+            assert not hasattr(module, name)

@@ -1,5 +1,10 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicgaps.dynamics import (
     NOT_IN_IMAGE,
@@ -15,6 +20,7 @@ from cubicgaps.graphcore import (
     is_bipartite,
     is_planar,
     named_graph,
+    permute,
     spectrum,
 )
 
@@ -105,6 +111,56 @@ def test_double_application():
     assert T2.n == 9 * G.n
     Z = tmap_inverse(T2)
     assert are_isomorphic(Z, tmap(G))
+
+
+def test_t5_k4_inverts_without_search():
+    # 972 vertices, where the backtracking matcher is exponential
+    X = named_graph("k4")
+    for _ in range(4):
+        X = tmap(X)
+    p = list(range(3 * X.n))
+    random.Random(5).shuffle(p)
+    Z = tmap_inverse(permute(tmap(X), p))
+    assert Z is not NOT_IN_IMAGE
+    assert Z.n == 324 and Z.is_cubic
+    assert np.allclose(spectrum(Z), spectrum(X))
+
+
+def _has_triangle_partition(G):
+    # brute force over sets of n/3 triangles, independent of the
+    # backtracking partition inside tmap_inverse
+    edges = {e for e in G.edges if e[0] != e[1]}
+    triangles = [t for t in itertools.combinations(range(G.n), 3)
+                 if all(e in edges for e in itertools.combinations(t, 2))]
+    return any(len({v for t in pick for v in t}) == G.n
+               for pick in itertools.combinations(triangles, G.n // 3))
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_inverse_against_isomorphism_oracle(n):
+    images = 0
+    for G in enumerate_cubic_multigraphs(n):
+        Z = tmap_inverse(G)
+        assert (Z is not NOT_IN_IMAGE) == _has_triangle_partition(G), G
+        if Z is not NOT_IN_IMAGE:
+            assert are_isomorphic(tmap(Z), G), G
+            images += 1
+    # tmap is injective on classes, and every image class is enumerated
+    assert images == len(enumerate_cubic_multigraphs(n // 3))
+
+
+CELLS = [Z for n in (2, 4, 6, 8) for Z in enumerate_cubic_multigraphs(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_inverse_of_relabelled_image(data):
+    Z = data.draw(st.sampled_from(CELLS))
+    T = tmap(Z)
+    p = data.draw(st.permutations(range(T.n)))
+    back = tmap_inverse(permute(T, p))
+    assert back is not NOT_IN_IMAGE
+    assert are_isomorphic(back, Z)
 
 
 def test_image_spectrum_lies_in_pullback_range():
