@@ -33,7 +33,7 @@ from .covers import (PeriodicGraph, bands, catalog_hash, cyclic_quotient,
 from .dynamics import (IntervalSet, a_membership, capacity_estimate,
                        plan_gap_witness, preimage_intervals, realize_plan,
                        tmap)
-from .errors import (BadInput, NumericalFailure, RefusedCertificate)
+from .errors import BadInput, NumericalFailure, RefusedCertificate, _field
 from .graphcore import (Multigraph, enumerate_cubic_multigraphs, is_planar,
                         spectrum)
 
@@ -317,17 +317,27 @@ def _parse_interval(text: str):
 
 
 def _certify_candidates(args):
+    """Yield (cover, catalog sha) pairs in the order they are tried.
+
+    The catalog is read, and each planar row checked for the fields a
+    cover is built from, before the first candidate; a row's cover is
+    built only when the loop reaches it."""
     if args.cover:
-        return [(_load_cover(args.cover), None)]
+        yield _load_cover(args.cover), None
+        return
     from .covers.reference import doubled_cycle_cover, prism_band_cover
-    cands = [(doubled_cycle_cover(), None), (prism_band_cover(), None)]
+    rows = sha = None
     if args.catalog:
-        rows = load_catalog(args.catalog)
+        rows = [row for row in load_catalog(args.catalog)
+                if row.get("planar_quotients")]
         sha = catalog_hash(args.catalog)
         for row in rows:
-            if row.get("planar_quotients"):
-                cands.append((entry_cover(row), sha))
-    return cands
+            for name in ("base", "offsets"):
+                _field(row, "catalog row", name, lambda value: value)
+    yield doubled_cycle_cover(), None
+    yield prism_band_cover(), None
+    for row in rows or ():
+        yield entry_cover(row), sha
 
 
 def _matches_target(gap, target) -> bool:
@@ -529,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True,
                    help="full, preimage, or level:m")
     p.add_argument("--points", type=int, default=64,
-                   help="number of Fekete points")
+                   help="Chebyshev terms, split over the intervals")
     _add_common(p)
     p.set_defaults(func=cmd_capacity)
 

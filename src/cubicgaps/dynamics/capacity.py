@@ -1,12 +1,22 @@
-"""Transfinite-diameter (logarithmic capacity) estimation on interval sets.
+"""Logarithmic capacity of a finite union of intervals, by one linear
+solve for its equilibrium measure (S. Olver, "Computation of equilibrium
+measures", J. Approx. Theory 163, 2011).
 
-Strategy: place npoints approximate Fekete points by greedy insertion on
-a dense grid followed by coordinatewise ascent sweeps, then read the
-capacity off the sup-norm of the monic polynomial with those roots,
-using the lower bound  sup_E |p| >= 2 c(E)^N  valid for any monic p of
-degree N on a compact real set E.  That readout is biased upward (a few
-1e-3 at N = 64), which suits targets quoted as "estimate from above".
-No randomness anywhere; ties resolve to the lowest grid index.
+The equilibrium measure mu of a compact set E has total mass 1, and its
+log potential U(x) = integral of log|x - y| dmu(y) equals log cap(E) on
+E.  On each interval [a, b], in the local variable t = (2x - a - b)/(b - a),
+the density is written as sum_k c_k T_k(t)/(pi sqrt(1 - t^2)) with
+Chebyshev polynomials T_k.  The log potential of every basis term has a
+closed form at a point of local coordinate s: on its own interval it is
+-log 2 for k = 0 and -T_k(s)/k for k >= 1; outside the interval it is
+log(rho/2) and -sgn(s)^k rho^-k / k, with rho = |s| + sqrt(s^2 - 1).
+Each k = 0 term also carries log((b - a)/2), its mass times the log of
+the half-width.  Setting the potential equal to log cap(E) at K
+Chebyshev nodes per interval, plus total mass 1, gives one dense square
+system whose last unknown is log cap(E).  No randomness, no iteration,
+no quadrature.  The error falls geometrically in K, more slowly when a
+gap is narrow next to the intervals it separates.  Isolated points carry
+no capacity and are ignored.
 """
 
 from __future__ import annotations
@@ -20,77 +30,40 @@ from .intervals import IntervalSet
 
 __all__ = ["capacity_estimate"]
 
-_GRID_MIN = 4096
-_MAX_SWEEPS = 200
-
-
-def _dense_grid(S: IntervalSet, total: int):
-    """Per-interval linspaces, density proportional to length, plus the
-    block boundaries so the sup search never misses an endpoint."""
-    lengths = np.array([b - a for a, b in S.intervals])
-    weights = lengths / lengths.sum()
-    blocks = []
-    for (a, b), w in zip(S.intervals, weights):
-        k = max(16, int(round(w * total)))
-        blocks.append(np.linspace(a, b, k))
-    grid = np.concatenate(blocks)
-    # block id per point, to keep parabolic refinement inside one interval
-    ids = np.concatenate([np.full(len(blk), i) for i, blk in enumerate(blocks)])
-    return grid, ids
-
 
 def capacity_estimate(S: IntervalSet, npoints: int) -> float:
+    """cap(E) of the intervals of S from npoints Chebyshev terms, split
+    evenly over the intervals (at least one term each)."""
     if npoints < 16:
         raise BadInput("need npoints >= 16")
     if not S.intervals:
         return 0.0
-    grid, block = _dense_grid(S, max(_GRID_MIN, 8 * npoints))
-    g = grid[:, None]
+    a, b = np.array(S.intervals, dtype=float).T
+    n = len(a)
+    K = max(1, npoints // n)
+    size = n * K
+    mid, half = (a + b) / 2, (b - a) / 2
+    theta = np.pi * (np.arange(K) + 0.5) / K
+    k = np.arange(1, K)
+    x = (mid[:, None] + half[:, None] * np.cos(theta)).ravel()
 
-    # greedy insertion: start from the extreme ends, then repeatedly add
-    # the grid point maximizing the log-product of distances
-    chosen = [0, len(grid) - 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logsum = (np.log(np.abs(grid - grid[0]))
-                  + np.log(np.abs(grid - grid[-1])))
-        while len(chosen) < npoints:
-            j = int(np.argmax(logsum))
-            chosen.append(j)
-            logsum = logsum + np.log(np.abs(grid - grid[j]))
+    # phi[i, j, k]: potential at node i of term k on interval j
+    phi = np.empty((size, n, K))
+    own = np.repeat(np.arange(n), K)[:, None] == np.arange(n)
+    own_block = np.empty((K, K))
+    own_block[:, 0] = -math.log(2.0)
+    own_block[:, 1:] = -np.cos(np.outer(theta, k)) / k
+    phi[own] = np.tile(own_block, (n, 1))
+    s = ((x[:, None] - mid) / half)[~own]
+    rho = np.abs(s) + np.sqrt(s * s - 1.0)
+    phi[~own, 0] = np.log(rho / 2)
+    phi[~own, 1:] = -(np.sign(s) / rho)[:, None] ** k / k
+    phi[:, :, 0] += np.log(half)
 
-        pts = grid[chosen]
-        M = np.log(np.abs(g - pts[None, :]))  # grid x points
-        total = M.sum(axis=1)
-
-        # coordinatewise ascent: move each point to the grid position
-        # maximizing the product of distances to the others
-        for _ in range(_MAX_SWEEPS):
-            moved = False
-            for j in range(npoints):
-                rest = total - M[:, j]
-                cur = int(np.argmin(np.abs(grid - pts[j])))
-                rest[cur] = np.delete(M[cur], j).sum()
-                best = int(np.argmax(rest))
-                if best != cur and rest[best] > rest[cur]:
-                    pts[j] = grid[best]
-                    col = np.log(np.abs(grid - pts[j]))
-                    total = total - M[:, j] + col
-                    M[:, j] = col
-                    # the vacated row mixed -inf - (-inf); rebuild it
-                    total[cur] = M[cur].sum()
-                    moved = True
-            if not moved:
-                break
-
-    # sup-norm readout with a parabolic polish of the grid argmax
-    i = int(np.argmax(total))
-    lmax = float(total[i])
-    if 0 < i < len(grid) - 1 and block[i - 1] == block[i] == block[i + 1]:
-        y0, y1, y2 = total[i - 1], total[i], total[i + 1]
-        if math.isfinite(y0) and math.isfinite(y2):
-            denom = y0 - 2 * y1 + y2
-            if denom < -1e-30:
-                t = 0.5 * (y0 - y2) / denom
-                if -1 < t < 1:
-                    lmax = float(y1 - 0.25 * t * (y0 - y2))
-    return math.exp((lmax - math.log(2.0)) / npoints)
+    A = np.zeros((size + 1, size + 1))
+    A[:size, :size] = phi.reshape(size, size)
+    A[:size, size] = -1.0
+    A[size, :size:K] = 1.0
+    rhs = np.zeros(size + 1)
+    rhs[size] = 1.0
+    return math.exp(np.linalg.solve(A, rhs)[size])

@@ -101,42 +101,42 @@ def _triangle_partition(G: Multigraph):
 
     Backtracking on the lowest unassigned vertex; for graphs that are
     tmap images the partition is forced almost immediately, so this
-    terminates fast.  Returns a list of sorted 3-tuples or None.
+    terminates fast.  The search keeps one iterator of candidate
+    triangles per placed triangle on an explicit stack, so its depth is
+    not bounded by the recursion limit.  Returns a list of sorted
+    3-tuples or None.
     """
-    mult = {}
+    adj = [set() for _ in range(G.n)]
     for u, v in G.edges:
         if u != v:
-            key = (u, v)
-            mult[key] = mult.get(key, 0) + 1
-    adj = [set() for _ in range(G.n)]
-    for u, v in mult:
-        adj[u].add(v)
-        adj[v].add(u)
+            adj[u].add(v)
+            adj[v].add(u)
 
     assigned = [False] * G.n
     out = []
 
-    def rec():
-        try:
-            v = assigned.index(False)
-        except ValueError:
-            return True
+    def triangles(v):
         cands = sorted(w for w in adj[v] if not assigned[w])
-        for i, a in enumerate(cands):
-            for b in cands[i + 1:]:
-                if b in adj[a]:
-                    for x in (v, a, b):
-                        assigned[x] = True
-                    out.append((v, a, b))
-                    if rec():
-                        return True
-                    out.pop()
-                    for x in (v, a, b):
-                        assigned[x] = False
-        return False
+        return iter([(v, a, b) for i, a in enumerate(cands)
+                     for b in cands[i + 1:] if b in adj[a]])
 
-    if rec():
-        return out
+    stack = [triangles(0)]
+    while stack:
+        if len(out) == len(stack):
+            # every completion of the last triangle failed
+            for x in out.pop():
+                assigned[x] = False
+        tri = next(stack[-1], None)
+        if tri is None:
+            stack.pop()
+            continue
+        for x in tri:
+            assigned[x] = True
+        out.append(tri)
+        try:
+            stack.append(triangles(assigned.index(False)))
+        except ValueError:
+            return out
     return None
 
 

@@ -318,6 +318,28 @@ class TestCertify:
                    "--out", tmp_path / "o") == 4
         assert "no 'base' field" in capsys.readouterr().err
 
+    @staticmethod
+    def _catalog_with_bad_second_row(tmp_path):
+        lines = default_catalog_path().read_text().splitlines()
+        bad = json.loads(lines[1])
+        bad["offsets"] = [["x"] for _ in bad["offsets"]]
+        cat = tmp_path / "cat.jsonl"
+        cat.write_text(lines[0] + "\n" + json.dumps(bad) + "\n")
+        return cat
+
+    def test_catalog_covers_are_built_only_when_tried(self, tmp_path):
+        # the doubled-cycle cover matches (-1, 1) before any catalog row
+        cat = self._catalog_with_bad_second_row(tmp_path)
+        assert run("certify", "--target", "(-1,1)", "--catalog", cat,
+                   "--out", tmp_path / "o") == 0
+
+    def test_malformed_catalog_row_is_refused_when_reached(self, tmp_path,
+                                                            capsys):
+        cat = self._catalog_with_bad_second_row(tmp_path)
+        assert run("certify", "--target", "(-2.5,0.5)", "--catalog", cat,
+                   "--out", tmp_path / "o") == 4
+        assert "field 'offsets'" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("text", ["5", "null", "true", "[1, 2]"])
 @pytest.mark.parametrize("argv", [

@@ -169,3 +169,22 @@ def test_image_spectrum_lies_in_pullback_range():
         s = spectrum(tmap(G))
         assert np.all(((-2 - 1e-9 <= s) & (s <= 1e-9))
                       | ((1 - 1e-9 <= s) & (s <= 3 + 1e-9)))
+
+
+def test_t7_k4_inverts_past_the_recursion_limit():
+    # 8748 vertices, 2916 triangles: more search levels than Python's
+    # default recursion limit of 1000
+    X = named_graph("k4")
+    for _ in range(7):
+        X = tmap(X)
+    p = list(range(X.n))
+    random.Random(7).shuffle(p)
+    Z = permute(X, p)
+    for _ in range(3):
+        Z = tmap_inverse(Z)
+        assert Z is not NOT_IN_IMAGE
+    T4 = named_graph("k4")
+    for _ in range(4):
+        T4 = tmap(T4)
+    assert Z.n == 324 and Z.is_cubic
+    assert np.allclose(spectrum(Z), spectrum(T4))
