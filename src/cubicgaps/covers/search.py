@@ -17,13 +17,21 @@ as a point, so solver noise of about 1e-15, which decides whether
 `gap_report` stores an isolated eigenvalue as a point or as a tiny
 interval, cannot split one picture into two rows.
 
-A seed automorphism carries each choice of redirected edges onto
-another choice whose cover is the same periodic graph up to relabelling
-(Gross & Tucker, voltage graphs), so its band pictures add nothing new.
-Each seed's choices are therefore tried once per automorphism orbit, at
-the orbit's first member in catalog order, which keeps every row and
-its id as the full sweep would have them.  The automorphisms come from
-the library's own matcher (`graphcore.automorphisms`).
+Two offset assignments on one cell give isomorphic covers, with the
+same band samples, when one becomes the other under a cell
+automorphism, a coboundary p(u) - p(v), a permutation of parallel
+edges, a loop reversal or a signed move of the axes (Gross & Tucker,
+voltage graphs), so the later cover adds no band picture.  The search
+skips such covers in two steps, each keeping the first candidate in
+catalog order, so every row and its id stay as the full sweep would
+have them.  Each seed's edge choices are tried once per automorphism
+orbit (`_orbit_firsts`), which spares building the rank-2 cover of
+every pair.  Of the covers that remain, one whose cover-identity key
+(`_CoverKeys`: the least gauge-fixed offset vector over the
+automorphisms and axis moves, computed in numpy for all slices of a
+pair at once) an earlier cover of the same seed had is skipped before
+it is built or eigensolved.  The automorphisms come from the library's
+own matcher (`graphcore.automorphisms`).
 
 A row's `planar_quotients` flag says that every cyclic quotient of its
 cover is planar, for every number of decks.  It is decided exactly by
@@ -36,9 +44,13 @@ the search only through that call.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..dynamics.intervals import IntervalSet
 from ..errors import BadInput, _field
@@ -179,10 +191,160 @@ def _orbit_firsts(seed: Multigraph, choices):
             seen.update((moved, t) for t in signs)
 
 
+def _axis_moves(rank: int) -> np.ndarray:
+    """The signed permutation matrices of Z^rank, as a stack: o -> +-o
+    for rank 1, and the 8 symmetries of the square for rank 2."""
+    eye = np.eye(rank, dtype=np.int64)
+    return np.array([eye[list(order)] * np.array(signs)[:, None]
+                     for order in itertools.permutations(range(rank))
+                     for signs in itertools.product((1, -1), repeat=rank)])
+
+
+class _CoverKeys:
+    """Cover-identity keys for the covers of one seed cell: covers with
+    equal keys are isomorphic, and their band samples on the key's grid
+    agree up to rounding.
+
+    key(o, grid) is (grid, rank, the least canonical form of the images
+    of o), the lexicographic minimum over every cell automorphism and
+    every signed axis move.  The canonical form c(o) of an offset
+    vector: take each bundle of parallel edges' least offset m_b
+    (lexicographic for rank 2), set the potentials p = T m, where row v
+    of T signs the bundles on the path from vertex 0 to v in one BFS
+    tree of the bundles, so that every tree bundle's least offset gauges
+    to 0; set g_e = o_e + p(u) - p(v); replace a loop's g by the lesser
+    of +-g; sort g within each bundle.
+
+    Proof that equal keys mean isomorphic covers with equal samples
+    (Gross & Tucker, "Generating all graph coverings by permutation
+    voltage assignments", Discrete Math. 18, 1977).  Each of these moves
+    of an offset vector gives an isomorphic cover whose twisted
+    adjacency at each grid point is unitarily similar to the original's
+    at a grid point, through a bijection of the grid that fixes the
+    point (-pi, ..., -pi) whose row `flat_values` reads:
+    - a coboundary o_e + q(u) - q(v): A(z) becomes D A(z) D^H with D the
+      diagonal of z^q, at the same point;
+    - permuting the offsets within a bundle, or negating a loop's: the
+      offset matrices B_o do not change;
+    - a cell automorphism p, which sends edge (u, v) to an edge of
+      bundle (p[u], p[v]) and negates its offset when p[u] > p[v]: A(z)
+      becomes P A(z) P^T, at the same point;
+    - a signed axis move o -> o M: A at angles theta becomes A at
+      theta M^T, a signed permutation of the angles, which maps the
+      grid onto itself, as each axis has the same even number N of
+      angles -pi + 2 pi k / N and negation sends k to (-k) mod N.
+    c(o) is o moved by the coboundary p, loop negations and a bundle
+    permutation, and each image h o is o moved by h, so key(o) = c(h o)
+    is a chain of moves away from o: equal keys put o and o' one chain
+    of moves apart, and their covers are isomorphic with equal samples.
+
+    The key is also constant on each class, which is what makes it
+    skip: c does not change under a coboundary q (it shifts the offsets
+    of bundle (u, v), and so their least one, by q(u) - q(v), which
+    moves p by q(0) - q and leaves g as it was), nor under bundle
+    permutations and loop negations, and the automorphisms and axis
+    moves form a group that carries each of these moves to one of the
+    same kind.
+
+    Rank-2 offsets are packed into one integer x S + y, with S odd and
+    every component that the form compares below S / 2 in absolute value
+    (a tree path adds at most n - 1 bundle minima); the packing is
+    linear and orders pairs lexicographically, and the least form is
+    unpacked, so the key does not depend on S.
+    """
+
+    def __init__(self, seed: Multigraph):
+        edges = np.array(seed.edges, dtype=np.int64)
+        self.n, m = seed.n, len(edges)
+        self.moves = {rank: _axis_moves(rank) for rank in (1, 2)}
+        self.u, self.v = edges.T
+        self.loop = self.u == self.v
+        fresh = np.r_[True, (edges[1:] != edges[:-1]).any(axis=1)]
+        self.starts = np.flatnonzero(fresh)
+        self.bundle = np.cumsum(fresh) - 1
+        self.tree = np.zeros((seed.n, len(self.starts)), dtype=np.int64)
+        nbr = [[] for _ in range(seed.n)]
+        for b, (a, c) in enumerate(edges[self.starts].tolist()):
+            if a != c:
+                nbr[a].append((c, b, 1))
+                nbr[c].append((a, b, -1))
+        reached, queue = {0}, deque([0])
+        while queue:
+            x = queue.popleft()
+            for y, b, sign in nbr[x]:
+                if y not in reached:
+                    reached.add(y)
+                    queue.append(y)
+                    self.tree[y] = self.tree[x]
+                    self.tree[y, b] += sign
+        # automorphism p as a signed edge permutation: the k-th edge of a
+        # bundle lands on the k-th edge of the image bundle; src[a, f] is
+        # the edge that lands on f and sgn[a, f] its orientation
+        first = np.zeros((seed.n, seed.n), dtype=np.int64)
+        first[self.u[self.starts], self.v[self.starts]] = self.starts
+        perms = np.array(list(automorphisms(seed)), dtype=np.int64)
+        pu, pv = perms[:, self.u], perms[:, self.v]
+        land = (first[np.minimum(pu, pv), np.maximum(pu, pv)]
+                + np.arange(m) - self.starts[self.bundle])
+        self.src = np.empty_like(land)
+        np.put_along_axis(self.src, land,
+                          np.broadcast_to(np.arange(m), land.shape), axis=1)
+        self.sgn = np.empty_like(land)
+        np.put_along_axis(self.sgn, land, np.where(pu > pv, -1, 1), axis=1)
+
+    def __call__(self, offsets, grid: int) -> list:
+        """The keys of a (K, edges, rank) stack of offset vectors."""
+        X = np.asarray(offsets, dtype=np.int64)
+        K, m, rank = X.shape
+        images = X[:, self.src] * self.sgn[:, :, None]
+        images = (images[:, :, None] @ self.moves[rank]).reshape(K, -1, m,
+                                                                 rank)
+        c = (2 * self.n - 1) * max(1, int(np.abs(X).max()))
+        S = 2 * c + 1
+        radix = S ** np.arange(rank - 1, -1, -1)
+        forms = self._canonical(images @ radix, c * int(radix.sum()))
+        best = _lexmin(forms)
+        if rank == 2:
+            x = (best + c) // S
+            best = np.stack([x, best - x * S], axis=-1)
+        return [(grid, rank, row.tobytes()) for row in best]
+
+    def _canonical(self, Z: np.ndarray, bound: int) -> np.ndarray:
+        """c(o) of each packed vector along the last axis; no |g| exceeds
+        bound."""
+        mins = np.minimum.reduceat(Z, self.starts, axis=-1)
+        p = mins @ self.tree.T
+        g = Z + p[..., self.u] - p[..., self.v]
+        g = np.where(self.loop, np.minimum(g, -g), g)
+        shift = self.bundle * (2 * bound + 1)
+        return np.sort(g + shift, axis=-1) - shift
+
+
+def _lexmin(forms: np.ndarray) -> np.ndarray:
+    """The lexicographically least row along axis 1 of a (K, G, m)
+    array, for each of the K."""
+    alive = np.ones(forms.shape[:2], dtype=bool)
+    top = np.iinfo(forms.dtype).max
+    for j in range(forms.shape[2]):
+        col = np.where(alive, forms[:, :, j], top)
+        alive &= col == col.min(axis=1, keepdims=True)
+    return forms[np.arange(len(forms)), alive.argmax(axis=1)]
+
+
 def _candidates(seed: Multigraph, rank: int, two_link: bool, N: int):
     """(offsets, subtorus, cover, grid) for the covers of one seed, in
-    catalog order, one edge choice per automorphism orbit."""
+    catalog order: one edge choice per automorphism orbit, and of its
+    covers those whose `_CoverKeys` key no earlier cover of the seed
+    had.  A cover is built only when its key is new."""
     m = len(seed.edges)
+    keys = _CoverKeys(seed)
+    produced = set()
+
+    def new(key):
+        fresh = key not in produced
+        produced.add(key)
+        return fresh
+
     if rank == 1:
         choices = [((j,), None) for j in range(m)]
         if two_link:
@@ -193,6 +355,9 @@ def _candidates(seed: Multigraph, rank: int, two_link: bool, N: int):
             if s is not None:
                 assignment[edges[1]] = (s,)
             offs = _offsets_for(m, assignment, 1)
+            # an isomorphic copy of a disconnected cover is disconnected
+            if not new(keys([offs], N)[0]):
+                continue
             try:
                 P = PeriodicGraph(seed, 1, offs, name=seed.name)
             except BadInput:
@@ -202,6 +367,7 @@ def _candidates(seed: Multigraph, rank: int, two_link: bool, N: int):
     N2 = max(32, N // 4)
     if N2 % 2:
         N2 += 1
+    directions = np.array(SUBTORUS_DIRECTIONS, dtype=np.int64)
     pairs = [((j, k), None) for j in range(m) for k in range(j + 1, m)]
     for (j, k), _ in _orbit_firsts(seed, pairs):
         offs = _offsets_for(m, {j: (1, 0), k: (0, 1)}, 2)
@@ -209,9 +375,13 @@ def _candidates(seed: Multigraph, rank: int, two_link: bool, N: int):
             P2 = PeriodicGraph(seed, 2, offs, name=seed.name)
         except BadInput:
             continue
-        yield offs, None, P2, N2
-        for a, b in SUBTORUS_DIRECTIONS:
-            yield offs, (a, b), restrict_subtorus(P2, a, b), N
+        if new(keys([offs], N2)[0]):
+            yield offs, None, P2, N2
+        # slice (a, b) has offsets a o1 + b o2
+        slices = (directions @ np.array(offs).T)[:, :, None]
+        for (a, b), key in zip(SUBTORUS_DIRECTIONS, keys(slices, N)):
+            if new(key):
+                yield offs, (a, b), restrict_subtorus(P2, a, b), N
 
 
 def iter_search_covers(seeds, rank: int = 2, two_link: bool = True,
@@ -223,11 +393,11 @@ def iter_search_covers(seeds, rank: int = 2, two_link: bool = True,
     relative signs (+,+) and (+,-) when two_link is set.  rank=2: every
     edge pair spans the torus, reported whole (on a reduced grid) and
     sliced along each coprime direction at the full grid N.  Only the
-    first edge choice of each seed-automorphism orbit is tried; the
-    others give relabelled copies of covers already seen.  A cover that
-    repeats one of the same seed exactly (same offsets and grid, as the
-    axis slices of two pairs sharing an edge do) is skipped before its
-    eigensolve, since its key is the first copy's.  A row is
+    first edge choice of each seed-automorphism orbit is tried, and of
+    its covers only those whose cover-identity key (`_CoverKeys`) no
+    earlier cover of the same seed had: an equal key means an isomorphic
+    cover with the same band samples, whose band picture is already
+    seen, so it is skipped before it is built or eigensolved.  A row is
     dropped when its band picture, rounded to 6 digits with zero-width
     intervals read as points, was seen before.  A kept row's quotient
     planarity reads the seed's planar rotation systems, which are
@@ -249,13 +419,7 @@ def iter_search_covers(seeds, rank: int = 2, two_link: bool = True,
             raise BadInput(f"cover search seed {i} is disconnected, so it "
                            "has no connected cover")
         rotations = planar_rotations(seed) if is_planar(seed) else []
-        tried = set()
         for offs, subtorus, cover, grid in _candidates(seed, rank, two_link, N):
-            # the (1, 0) and (0, 1) slices of pairs sharing an edge are
-            # one single-edge cover, whose repeat has a seen key
-            if (cover.offsets, grid) in tried:
-                continue
-            tried.add((cover.offsets, grid))
             report = gap_report(bands(cover, grid))
             key = _dedup_key(seed.n, report)
             if key in seen:

@@ -189,8 +189,15 @@ def adjacency_matrix(G: Multigraph) -> np.ndarray:
 
 
 def spectrum(G: Multigraph) -> np.ndarray:
-    """Adjacency eigenvalues, ascending, with multiplicity."""
-    return np.linalg.eigvalsh(G.adjacency().astype(np.float64))
+    """Adjacency eigenvalues, ascending, with multiplicity.  A graph
+    whose dense n x n matrix or eigensolve does not fit in memory raises
+    BadInput naming n."""
+    try:
+        return np.linalg.eigvalsh(G.adjacency().astype(np.float64))
+    except MemoryError as exc:
+        raise BadInput(f"spectrum of a graph with n={G.n} vertices needs a "
+                       "dense n x n matrix, which does not fit in "
+                       "memory") from exc
 
 
 def _bfs(G: Multigraph, src: int, nbr=None):

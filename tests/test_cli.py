@@ -66,6 +66,20 @@ class TestSpectrum:
         p.write_text("{not json")
         assert run("spectrum", p, "--out", tmp_path / "o") == 4
 
+    def test_graph_too_large_for_memory_exits_4(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # K4's edges on a million vertices: the dense matrix would need
+        # 7.3 TiB, so allocating it raises MemoryError, simulated here
+        def out_of_memory(self):
+            raise MemoryError("simulated")
+
+        monkeypatch.setattr(Multigraph, "adjacency", out_of_memory)
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"n": 1000000, "edges": [
+            [0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}))
+        assert run("spectrum", p, "--out", tmp_path / "o") == 4
+        assert "n=1000000" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", [
         '{"n": "x", "edges": [[0, 1]]}',
         '{"n": 2, "edges": [[0]]}',

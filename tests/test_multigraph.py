@@ -139,3 +139,16 @@ def test_half_loops_survive_round_trip(tmp_path):
     p = tmp_path / "hl.json"
     G.save(p)
     assert Multigraph.load(p) == G
+
+
+@pytest.mark.parametrize("where", ["adjacency", "eigensolve"])
+def test_spectrum_out_of_memory_is_bad_input(monkeypatch, where):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("simulated")
+
+    if where == "adjacency":
+        monkeypatch.setattr(Multigraph, "adjacency", out_of_memory)
+    else:
+        monkeypatch.setattr(np.linalg, "eigvalsh", out_of_memory)
+    with pytest.raises(BadInput, match="n=4 "):
+        spectrum(K4)

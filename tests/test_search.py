@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from search_oracle import _all_candidates
 
 from cubicgaps.cli import default_catalog_path
 from cubicgaps.covers import (SUBTORUS_DIRECTIONS, CatalogEntry, bands,
@@ -239,8 +240,10 @@ class TestPlanarSearch:
         assert calls == {"is_planar": len(seeds), "cyclic_quotient": 0}
 
     def test_each_cover_is_eigensolved_once(self, monkeypatch):
-        # the (1, 0) and (0, 1) slices of two pairs that share an edge
-        # are one single-edge cover, skipped before its second `bands`
+        # `_candidates` yields only covers whose identity key is new
+        # (the (1, 0) and (0, 1) slices of two pairs that share an edge
+        # are one single-edge cover, for one), and each is solved once;
+        # the unskipped sweep of the oracle solves more
         solved = []
 
         def counted(P, N):
@@ -250,9 +253,11 @@ class TestPlanarSearch:
         monkeypatch.setattr(search, "bands", counted)
         seeds = enumerate_cubic_multigraphs(4)
         assert search_covers(seeds, N=64)
-        tried = sum(1 for seed in seeds
-                    for _ in search._candidates(seed, 2, True, 64))
-        assert len(solved) == len(set(solved)) < tried
+        produced = sum(1 for seed in seeds
+                       for _ in search._candidates(seed, 2, True, 64))
+        unskipped = sum(1 for seed in seeds
+                        for _ in _all_candidates(seed, 2, True, 64))
+        assert len(solved) == len(set(solved)) == produced < unskipped
 
     def test_regenerated_catalog_is_byte_identical(self, tmp_path,
                                                    small_cell_search):

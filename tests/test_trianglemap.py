@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubicgaps.dynamics import (
@@ -61,6 +61,25 @@ def test_spectral_law_full_enumeration_n8():
         for G in enumerate_cubic_multigraphs(n):
             pred = tmap_spectrum_predict(spectrum(G))
             assert np.allclose(pred, spectrum(tmap(G)), atol=1e-9), G
+
+
+@st.composite
+def connected_cubic_multigraphs(draw):
+    """A connected random pairing of the 3n half-edges of n <= 12
+    vertices; loops and parallel edges allowed."""
+    n = 2 * draw(st.integers(1, 6))
+    halves = draw(st.permutations(range(3 * n)))
+    G = Multigraph(n, [(halves[i] // 3, halves[i + 1] // 3)
+                       for i in range(0, 3 * n, 2)])
+    assume(G.is_connected())
+    return G
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_cubic_multigraphs())
+def test_spectral_law_on_random_multigraphs(G):
+    assert np.abs(spectrum(tmap(G))
+                  - tmap_spectrum_predict(spectrum(G))).max() < 1e-9
 
 
 def test_loop_handling():
