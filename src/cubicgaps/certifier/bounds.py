@@ -52,7 +52,8 @@ import numpy as np
 
 from ..errors import BadInput, NumericalFailure
 from ..graphcore.multigraph import (Multigraph, _bfs as _graph_bfs,
-                                    diameter_and_geodesic, spectrum)
+                                    _eccentricities, diameter_and_geodesic,
+                                    spectrum)
 from .exact import _int_matmul
 
 __all__ = [
@@ -626,20 +627,24 @@ def fekete_finiteness(X: Multigraph, F) -> dict:
     Every c is read as an exact Fraction, a float as its exact dyadic
     value, so an irrational target such as Heawood's +-sqrt(2) never
     matches an eigenvalue and the verdict is SpectrumNotContained.
+
+    The pair (x0, y0) is the first vertex x0 whose eccentricity within
+    its component reaches |F| and the least vertex y0 at distance |F|
+    from it.  Every eccentricity comes from one all-sources bitset pass
+    (`graphcore.multigraph._eccentricities`, n * n / 8 bytes), and one
+    BFS from x0 gives y0; this is the pair that a scan of per-source
+    BFS runs stopping at the first source with max(dist) >= |F| finds,
+    since that maximum is the same eccentricity.
     """
     values = sorted({Fraction(c) for c in F})
     if not values:
         raise BadInput("F must be nonempty")
     k = len(values)
-    ecc_pair = None
-    for s in range(X.n):
-        dist, _ = _graph_bfs(X, s)
-        if max(dist) >= k:
-            y = min(v for v, d in enumerate(dist) if d == k)
-            ecc_pair = (s, y)
-            break
-    if ecc_pair is not None:
-        x0, y0 = ecc_pair
+    nbr = X.neighbors()
+    ecc, _ = _eccentricities(nbr)
+    x0 = next((s for s, e in enumerate(ecc) if e >= k), None)
+    if x0 is not None:
+        y0 = _graph_bfs(X, x0, nbr)[0].index(k)
         A = X.adjacency()
         power = np.eye(X.n, dtype=np.int64)
         for m in range(k):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dynamics.intervals import IntervalSet
-from ..errors import BadInput
+from ..errors import BadInput, _field, _json_int, _json_ints
 from ..graphcore.multigraph import Multigraph
 from ..graphcore.planarity import planar_rotations
 
@@ -110,14 +110,25 @@ class PeriodicGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "PeriodicGraph":
-        try:
-            return cls(Multigraph.from_json(data["base"]), int(data["rank"]),
-                       tuple(tuple(o) for o in data["offsets"]),
-                       data.get("name", ""))
-        except BadInput:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise BadInput(f"malformed cover JSON: {exc}") from exc
+        """The cover of a JSON document; a missing field, or a rank or
+        offset that is not an integer (a float, a bool), raises BadInput
+        naming the field."""
+        what = "cover JSON"
+        if not isinstance(data, dict):
+            raise BadInput(f"malformed {what}: a {type(data).__name__}, "
+                           "not an object")
+        return cls(_field(data, what, "base", Multigraph.from_json),
+                   _field(data, what, "rank", _json_int),
+                   _field(data, what, "offsets", _json_int_rows),
+                   data.get("name", ""))
+
+
+def _json_int_rows(rows) -> tuple:
+    """Offset rows read from JSON: a list of lists of integers (not
+    floats or bools, which int() would truncate or read as 0 or 1)."""
+    if not isinstance(rows, (list, tuple)):
+        raise TypeError(f"expected a list of offset rows, got {rows!r}")
+    return tuple(_json_ints(row) for row in rows)
 
 
 def _is_connected_cover(base: Multigraph, rank: int, offsets) -> bool:

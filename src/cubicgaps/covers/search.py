@@ -53,11 +53,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dynamics.intervals import IntervalSet
-from ..errors import BadInput, _field
+from ..errors import BadInput, _field, _json_int
 from ..graphcore.multigraph import Multigraph, automorphisms
 from ..graphcore.planarity import is_planar, planar_rotations
-from .periodic import (GapReport, PeriodicGraph, bands, derived_embedding,
-                       gap_report, restrict_subtorus)
+from .periodic import (GapReport, PeriodicGraph, _json_int_rows, bands,
+                       derived_embedding, gap_report, restrict_subtorus)
 
 __all__ = [
     "CatalogEntry",
@@ -533,7 +533,7 @@ def entry_cover(row) -> PeriodicGraph:
     if isinstance(row, CatalogEntry):
         return row.cover
     base = _field(row, "catalog row", "base", Multigraph.from_json)
-    offsets = _field(row, "catalog row", "offsets", _int_rows)
+    offsets = _field(row, "catalog row", "offsets", _json_int_rows)
     rank = len(offsets[0]) if offsets else 1
     P = PeriodicGraph(base, rank, offsets, name=base.name)
     if row.get("subtorus"):
@@ -542,10 +542,6 @@ def entry_cover(row) -> PeriodicGraph:
     return P
 
 
-def _int_rows(rows) -> tuple:
-    return tuple(tuple(int(c) for c in row) for row in rows)
-
-
 def _int_pair(pair) -> tuple:
     a, b = pair
-    return int(a), int(b)
+    return _json_int(a), _json_int(b)

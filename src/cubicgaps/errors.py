@@ -5,6 +5,8 @@ the most specific one that applies instead of bare ValueError where the
 failure is part of a documented contract.
 """
 
+import operator
+
 
 class BadInput(ValueError):
     """Malformed or out-of-contract input (CLI exit code 4)."""
@@ -20,6 +22,26 @@ def _field(doc: dict, what: str, name: str, parse):
         return parse(doc[name])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise BadInput(f"malformed {what} field {name!r}: {exc}") from exc
+
+
+def _json_int(x) -> int:
+    """x as an int when it is an integer; a float or a bool, which int()
+    would truncate or read as 0 or 1, raises TypeError.  For numbers read
+    from JSON documents, where `_field` turns the TypeError into
+    BadInput."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise TypeError(f"expected an integer, got {x!r}")
+
+
+def _json_ints(values) -> tuple:
+    """A JSON list of integers as a tuple of ints (see `_json_int`)."""
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"expected a list, got {values!r}")
+    return tuple(_json_int(x) for x in values)
 
 
 class NumericalFailure(RuntimeError):

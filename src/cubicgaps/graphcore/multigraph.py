@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import BadInput
+from ..errors import BadInput, _field, _json_int, _json_ints
 
 __all__ = [
     "Multigraph",
@@ -41,6 +41,15 @@ __all__ = [
     "automorphisms",
     "permute",
 ]
+
+
+def _json_edges(edges) -> list:
+    if not isinstance(edges, (list, tuple)):
+        raise TypeError(f"expected a list of edges, got {edges!r}")
+    for e in edges:
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise ValueError(f"edge {e!r} is not a pair")
+    return [_json_ints(e) for e in edges]
 
 
 def _normalize_edges(edges):
@@ -153,17 +162,20 @@ class Multigraph:
 
     @classmethod
     def from_json(cls, d: dict) -> "Multigraph":
-        try:
-            return cls(
-                n=int(d["n"]),
-                edges=[tuple(e) for e in d["edges"]],
-                half_loops=tuple(d.get("half_loops", ())),
-                name=str(d.get("name", "")),
-            )
-        except BadInput:
-            raise
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise BadInput(f"malformed graph JSON: {exc}") from exc
+        """The graph of a JSON document.  Every number must be an integer
+        and every edge a pair: a float, a bool or a longer edge raises
+        BadInput naming its field, where int() would truncate the number,
+        read the bool as 0 or 1, or drop the extra entries."""
+        what = "graph JSON"
+        if not isinstance(d, dict):
+            raise BadInput(f"malformed {what}: a {type(d).__name__}, "
+                           "not an object")
+        half_loops = (_field(d, what, "half_loops", _json_ints)
+                      if "half_loops" in d else ())
+        return cls(n=_field(d, what, "n", _json_int),
+                   edges=_field(d, what, "edges", _json_edges),
+                   half_loops=half_loops,
+                   name=str(d.get("name", "")))
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -217,28 +229,71 @@ def _bfs(G: Multigraph, src: int, nbr=None):
     return dist, parent
 
 
+def _eccentricities(nbr):
+    """(ecc, connected): the eccentricity of every vertex within its
+    component, from one all-sources pass over Python-int bitsets, and
+    whether the graph is connected.
+
+    Bit u of reach[v] says that u lies within distance t of v.  The ball
+    of radius t + 1 around v is v's ball of radius t joined with its
+    neighbours' balls of radius t, so each step sets reach[v] to
+    reach[v] | OR(reach[u] for u in nbr[v]) for all rows at once.
+    ecc[v] is the last step at which row v grew.  A row drops out once it
+    is full, or once it stops growing short of full (its component is
+    smaller than the graph).  The rows take n * n / 8 bytes: 1.8 KB at
+    n = 120 and 9.6 MB for T^7(K4), less than the dense 8 * n * n
+    matrix that `spectrum` holds for the same graph.
+    """
+    n = len(nbr)
+    full = (1 << n) - 1
+    reach = [1 << v for v in range(n)]
+    ecc = [0] * n
+    live = [v for v in range(n) if reach[v] != full]
+    step = 0
+    while live:
+        step += 1
+        grown = []
+        for v in live:
+            r = reach[v]
+            for u in nbr[v]:
+                r |= reach[u]
+            grown.append(r)
+        rest = []
+        for v, r in zip(live, grown):
+            if r != reach[v]:
+                reach[v] = r
+                ecc[v] = step
+                if r != full:
+                    rest.append(v)
+        live = rest
+    return ecc, reach[0] == full
+
+
 def diameter_and_geodesic(G: Multigraph):
     """Diameter d and one shortest path realizing it.
 
     Ties are broken toward the smallest (source, target) pair so the result
-    is deterministic.  Raises on disconnected input.
+    is deterministic: the source s is the first vertex of largest
+    eccentricity and the target the first vertex at distance d from s.
+    Raises on disconnected input.
+
+    Every eccentricity comes from one all-sources bitset pass
+    (`_eccentricities`, n * n / 8 bytes), and one BFS from s gives the
+    target and the path.  Proof that this is the tie-break above: a scan
+    of the sources in order that keeps a source only when its
+    eccentricity is strictly larger than the best so far ends on the
+    first vertex of largest eccentricity, which is s = ecc.index(d); its
+    first farthest target is dist.index(d) in the BFS from s, and the
+    path follows that BFS's parents.
     """
     nbr = G.neighbors()
-    best = (-1, 0, 0)
-    parents = {}
-    for s in range(G.n):
-        dist, parent = _bfs(G, s, nbr)
-        if min(dist) < 0:
-            raise BadInput("graph is disconnected")
-        far = max(dist)
-        t = dist.index(far)
-        if far > best[0]:
-            best = (far, s, t)
-            parents[s] = parent
-    d, s, t = best
-    parent = parents.get(s)
-    if parent is None:
-        parent = _bfs(G, s, nbr)[1]
+    ecc, connected = _eccentricities(nbr)
+    if not connected:
+        raise BadInput("graph is disconnected")
+    d = max(ecc)
+    s = ecc.index(d)
+    dist, parent = _bfs(G, s, nbr)
+    t = dist.index(d)
     path = [t]
     while path[-1] != s:
         path.append(parent[path[-1]])

@@ -333,10 +333,11 @@ class TestCertify:
         assert "no 'base' field" in capsys.readouterr().err
 
     @staticmethod
-    def _catalog_with_bad_second_row(tmp_path):
+    def _catalog_with_bad_second_row(
+            tmp_path, offsets=lambda rows: [["x"] for _ in rows]):
         lines = default_catalog_path().read_text().splitlines()
         bad = json.loads(lines[1])
-        bad["offsets"] = [["x"] for _ in bad["offsets"]]
+        bad["offsets"] = offsets(bad["offsets"])
         cat = tmp_path / "cat.jsonl"
         cat.write_text(lines[0] + "\n" + json.dumps(bad) + "\n")
         return cat
@@ -354,6 +355,15 @@ class TestCertify:
                    "--out", tmp_path / "o") == 4
         assert "field 'offsets'" in capsys.readouterr().err
 
+    def test_catalog_row_with_float_offsets_is_refused(self, tmp_path,
+                                                       capsys):
+        # offsets such as 1.0 were read as 1, and certify exited 0
+        cat = self._catalog_with_bad_second_row(
+            tmp_path, lambda rows: [[float(c) for c in row] for row in rows])
+        assert run("certify", "--target", "(-2.5,0.5)", "--catalog", cat,
+                   "--out", tmp_path / "o") == 4
+        assert "field 'offsets'" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("text", ["5", "null", "true", "[1, 2]"])
 @pytest.mark.parametrize("argv", [
@@ -367,6 +377,60 @@ def test_cover_file_not_an_object_exits_4(tmp_path, capsys, argv, text):
     argv = [p if a == "COVER" else a for a in argv]
     assert run(*argv, "--out", tmp_path / "o") == 4
     assert "not a periodic cover fixture" in capsys.readouterr().err
+
+
+K4_EDGES = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+
+
+# each document is a cubic graph once int() has truncated its numbers or
+# dropped the extra edge entries, so only the strict parser refuses it
+@pytest.mark.parametrize("doc, field", [
+    ({"n": 4.7, "edges": K4_EDGES}, "n"),
+    ({"n": True, "edges": [[0, 0]], "half_loops": [0]}, "n"),
+    ({"n": 4, "edges": [[0, 1, 2]] + K4_EDGES[1:]}, "edges"),
+    ({"n": 4, "edges": [[0, 1.5]] + K4_EDGES[1:]}, "edges"),
+    ({"n": 2, "edges": [[0, 1], [0, 1]], "half_loops": [0, True]},
+     "half_loops"),
+], ids=["n-float", "n-bool", "edge-triple", "edge-float", "half-loop-bool"])
+def test_graph_json_non_integer_exits_4(tmp_path, capsys, doc, field):
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(doc))
+    assert run("spectrum", p, "--out", tmp_path / "o") == 4
+    err = capsys.readouterr().err
+    assert f"malformed graph JSON field {field!r}" in err
+
+
+def _doubled_cycle_with(**changes):
+    doc = json.loads(fixture_path("doubled_cycle_cover.json").read_text())
+    for key, value in changes.items():
+        if key == "n":
+            doc["base"]["n"] = value
+        elif key == "offset":
+            doc["offsets"][0] = value
+        else:
+            doc[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("argv", [
+    ("bands", "COVER"),
+    ("quotient", "COVER", "-n", 3),
+], ids=["bands", "quotient"])
+@pytest.mark.parametrize("changes, field", [
+    ({"offset": [0.6]}, "offsets"),
+    ({"offset": [False]}, "offsets"),
+    ({"rank": 1.9}, "rank"),
+    ({"rank": True}, "rank"),
+    ({"n": 4.0}, "base"),
+], ids=["offset-float", "offset-bool", "rank-float", "rank-bool",
+        "base-n-float"])
+def test_cover_json_non_integer_exits_4(tmp_path, capsys, argv, changes,
+                                        field):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(_doubled_cycle_with(**changes)))
+    argv = [p if a == "COVER" else a for a in argv]
+    assert run(*argv, "--out", tmp_path / "o") == 4
+    assert f"malformed cover JSON field {field!r}" in capsys.readouterr().err
 
 
 class TestCapacity:
