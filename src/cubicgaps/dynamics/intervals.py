@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..errors import BadInput
+from ..errors import BadInput, _field, _json_floats
 
 __all__ = ["IntervalSet"]
 
@@ -21,6 +21,16 @@ def _as_float(x):
     if not math.isfinite(v):
         raise BadInput(f"non-finite interval datum {x!r}")
     return v
+
+
+def _json_pairs(pairs) -> tuple:
+    """A JSON list of number pairs as a tuple of float pairs."""
+    if not isinstance(pairs, (list, tuple)):
+        raise TypeError(f"expected a list of pairs, got {pairs!r}")
+    for p in pairs:
+        if not isinstance(p, (list, tuple)) or len(p) != 2:
+            raise ValueError(f"interval {p!r} is not a pair")
+    return tuple(_json_floats(p) for p in pairs)
 
 
 @dataclass(frozen=True)
@@ -146,5 +156,13 @@ class IntervalSet:
 
     @classmethod
     def from_json(cls, data: dict) -> "IntervalSet":
-        return cls(tuple((a, b) for a, b in data.get("intervals", ())),
-                   tuple(data.get("points", ())))
+        """The set of a JSON document with an "intervals" list of number
+        pairs and a "points" list of numbers.  A missing field, a bool
+        (which float() would read as 0.0 or 1.0), a string or an
+        interval that is not a pair raises BadInput naming the field."""
+        what = "interval set JSON"
+        if not isinstance(data, dict):
+            raise BadInput(f"malformed {what}: a {type(data).__name__}, "
+                           "not an object")
+        return cls(_field(data, what, "intervals", _json_pairs),
+                   _field(data, what, "points", _json_floats))

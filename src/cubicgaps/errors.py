@@ -44,6 +44,18 @@ def _json_ints(values) -> tuple:
     return tuple(_json_int(x) for x in values)
 
 
+def _json_floats(values) -> tuple:
+    """A JSON list of numbers as a tuple of floats; a bool, which float()
+    would read as 0.0 or 1.0, or a string raises TypeError (see
+    `_json_int`)."""
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"expected a list, got {values!r}")
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise TypeError(f"expected a number, got {x!r}")
+    return tuple(float(x) for x in values)
+
+
 class NumericalFailure(RuntimeError):
     """A numerical consistency check failed, e.g. an inconsistent
     Richardson pair in a finite-difference derivative (CLI exit code 3)."""

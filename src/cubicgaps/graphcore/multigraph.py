@@ -286,7 +286,12 @@ def diameter_and_geodesic(G: Multigraph):
     first farthest target is dist.index(d) in the BFS from s, and the
     path follows that BFS's parents.
     """
-    nbr = G.neighbors()
+    return _diameter_and_geodesic(G, G.neighbors())
+
+
+def _diameter_and_geodesic(G: Multigraph, nbr):
+    """`diameter_and_geodesic` on the neighbour lists nbr = G.neighbors(),
+    for callers that need those lists themselves."""
     ecc, connected = _eccentricities(nbr)
     if not connected:
         raise BadInput("graph is disconnected")

@@ -1,14 +1,17 @@
 """JSON round trips: every graph, cover and interval set the library
-writes is read back equal by its strict `from_json`."""
+writes is read back equal by its strict `from_json`, and a malformed
+interval set is refused with BadInput naming its field."""
 
 from __future__ import annotations
 
 import json
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cubicgaps.covers import PeriodicGraph
+from cubicgaps.cli import default_catalog_path
+from cubicgaps.covers import PeriodicGraph, load_catalog
 from cubicgaps.dynamics.intervals import IntervalSet
 from cubicgaps.errors import BadInput
 from cubicgaps.graphcore import Multigraph
@@ -70,3 +73,33 @@ def test_periodic_graph(P):
 @given(interval_sets())
 def test_interval_set(S):
     assert _through_json(S) == S
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"intervals": [[True, 2]], "points": []}, "intervals"),
+    ({"intervals": [[1, 2]], "points": [False]}, "points"),
+    ({"intervals": [[0, 1, 2]], "points": []}, "intervals"),
+    ({"intervals": [[0]], "points": []}, "intervals"),
+    ({"intervals": [["0", 1]], "points": []}, "intervals"),
+    ({"intervals": "01", "points": []}, "intervals"),
+    ({"intervals": [], "points": 0.5}, "points"),
+    ({"points": []}, "intervals"),
+    ({"intervals": []}, "points"),
+])
+def test_interval_set_refuses_a_malformed_field(doc, field):
+    with pytest.raises(BadInput, match=f"'{field}'"):
+        IntervalSet.from_json(doc)
+
+
+@pytest.mark.parametrize("doc", [[[0, 1]], "[]", None, 0.5])
+def test_interval_set_refuses_a_non_object(doc):
+    with pytest.raises(BadInput, match="not an object"):
+        IntervalSet.from_json(doc)
+
+
+def test_every_catalog_gap_set_reads_back_unchanged():
+    rows = load_catalog(default_catalog_path())
+    assert len(rows) == 89
+    for row in rows:
+        for name in ("gaps", "spectrum"):
+            assert IntervalSet.from_json(row[name]).to_json() == row[name]
