@@ -22,16 +22,14 @@ same band samples, when one becomes the other under a cell
 automorphism, a coboundary p(u) - p(v), a permutation of parallel
 edges, a loop reversal or a signed move of the axes (Gross & Tucker,
 voltage graphs), so the later cover adds no band picture.  The search
-skips such covers in two steps, each keeping the first candidate in
-catalog order, so every row and its id stay as the full sweep would
-have them.  Each seed's edge choices are tried once per automorphism
-orbit (`_orbit_firsts`), which spares building the rank-2 cover of
-every pair.  Of the covers that remain, one whose cover-identity key
-(`_CoverKeys`: the least gauge-fixed offset vector over the
-automorphisms and axis moves, computed in numpy for all slices of a
-pair at once) an earlier cover of the same seed had is skipped before
-it is built or eigensolved.  The automorphisms come from the library's
-own matcher (`graphcore.automorphisms`).
+skips such a cover by its cover-identity key (`_CoverKeys`: the least
+gauge-fixed offset vector over the automorphisms and axis moves,
+computed in numpy for all choices of a seed at once) before it is built
+or eigensolved, keeping the first cover of each key in catalog order,
+so every row and its id stay as the full sweep would have them.  A
+rank-2 edge pair whose whole cover repeats an earlier pair's key is
+skipped with all of its slices.  The automorphisms come from the
+library's own matcher (`graphcore.automorphisms`).
 
 A row's `planar_quotients` flag says that every cyclic quotient of its
 cover is planar, for every number of decks.  It is decided exactly by
@@ -152,43 +150,6 @@ def _dedup_key(base_n: int, report: GapReport):
 def _offsets_for(m: int, assignment: dict, rank: int):
     zero = (0,) * rank
     return tuple(assignment.get(j, zero) for j in range(m))
-
-
-def _orbit_firsts(seed: Multigraph, choices):
-    """The choices, in the given order, that come first in their orbit
-    under the automorphisms of seed.
-
-    A choice is (edges, sign): a tuple of edge indices, and the sign of
-    the second edge's offset relative to the first's, or None when the
-    sign does not matter.  Parallel edges form one class and any member
-    stands for it.  An automorphism sends edge (u, v) to the class of
-    (p[u], p[v]) and flips its offset when p[u] > p[v]; a loop's offset
-    can take either sign, so a loop makes both relative signs reachable.
-    """
-    cls = {e: seed.edges.index(e) for e in seed.edges}
-    maps = []
-    for p in automorphisms(seed):
-        image, flip = {}, {}
-        for u, v in seed.edges:
-            a, b = p[u], p[v]
-            image[cls[(u, v)]] = cls[(min(a, b), max(a, b))]
-            flip[cls[(u, v)]] = 0 if a == b else (1 if a < b else -1)
-        maps.append((image, flip))
-    seen = set()
-    for choice in choices:
-        edges, sign = choice
-        classes = tuple(sorted(cls[seed.edges[j]] for j in edges))
-        if (classes, sign) in seen:
-            continue
-        yield choice
-        for image, flip in maps:
-            moved = tuple(sorted(image[c] for c in classes))
-            if sign is None:
-                seen.add((moved, None))
-                continue
-            eps = math.prod(flip[c] for c in classes)
-            signs = (sign * eps,) if eps else (1, -1)
-            seen.update((moved, t) for t in signs)
 
 
 def _axis_moves(rank: int) -> np.ndarray:
@@ -333,9 +294,21 @@ def _lexmin(forms: np.ndarray) -> np.ndarray:
 
 def _candidates(seed: Multigraph, rank: int, two_link: bool, N: int):
     """(offsets, subtorus, cover, grid) for the covers of one seed, in
-    catalog order: one edge choice per automorphism orbit, and of its
-    covers those whose `_CoverKeys` key no earlier cover of the seed
-    had.  A cover is built only when its key is new."""
+    catalog order, skipping every cover whose `_CoverKeys` key an
+    earlier cover of the seed had.  A cover is built only when its key
+    is new; a skipped disconnected choice still records its key, as an
+    isomorphic copy of a disconnected cover is disconnected.
+
+    Rank 2 skips a whole edge pair, before its cover is built or its
+    slices keyed, when an earlier pair had the same whole key: its
+    slices then add no key.  Equal whole keys put the pairs one chain of
+    the key's moves apart, and slicing along a direction d commutes with
+    the automorphisms, coboundaries, bundle permutations and loop
+    reversals, while a signed axis move carries the slice along d of one
+    pair onto the slice of the other along a signed permutation of d.
+    SUBTORUS_DIRECTIONS is closed under signed permutations up to an
+    overall sign, and the overall sign is the rank-1 axis move, so both
+    pairs have the same set of slice keys."""
     m = len(seed.edges)
     keys = _CoverKeys(seed)
     produced = set()
@@ -346,42 +319,30 @@ def _candidates(seed: Multigraph, rank: int, two_link: bool, N: int):
         return fresh
 
     if rank == 1:
-        choices = [((j,), None) for j in range(m)]
+        grid, choices = N, [{j: (1,)} for j in range(m)]
         if two_link:
-            choices += [((j, k), s) for j in range(m)
+            choices += [{j: (1,), k: (s,)} for j in range(m)
                         for k in range(j + 1, m) for s in (1, -1)]
-        for edges, s in _orbit_firsts(seed, choices):
-            assignment = {edges[0]: (1,)}
-            if s is not None:
-                assignment[edges[1]] = (s,)
-            offs = _offsets_for(m, assignment, 1)
-            # an isomorphic copy of a disconnected cover is disconnected
-            if not new(keys([offs], N)[0]):
-                continue
-            try:
-                P = PeriodicGraph(seed, 1, offs, name=seed.name)
-            except BadInput:
-                continue
-            yield offs, None, P, N
-        return
-    N2 = max(32, N // 4)
-    if N2 % 2:
-        N2 += 1
+    else:
+        grid = max(32, N // 4 + (N // 4) % 2)
+        choices = [{j: (1, 0), k: (0, 1)} for j in range(m)
+                   for k in range(j + 1, m)]
+    choices = [_offsets_for(m, c, rank) for c in choices]
     directions = np.array(SUBTORUS_DIRECTIONS, dtype=np.int64)
-    pairs = [((j, k), None) for j in range(m) for k in range(j + 1, m)]
-    for (j, k), _ in _orbit_firsts(seed, pairs):
-        offs = _offsets_for(m, {j: (1, 0), k: (0, 1)}, 2)
+    for offs, key in zip(choices, keys(choices, grid)):
+        if not new(key):
+            continue
         try:
-            P2 = PeriodicGraph(seed, 2, offs, name=seed.name)
+            P = PeriodicGraph(seed, rank, offs, name=seed.name)
         except BadInput:
             continue
-        if new(keys([offs], N2)[0]):
-            yield offs, None, P2, N2
-        # slice (a, b) has offsets a o1 + b o2
-        slices = (directions @ np.array(offs).T)[:, :, None]
-        for (a, b), key in zip(SUBTORUS_DIRECTIONS, keys(slices, N)):
-            if new(key):
-                yield offs, (a, b), restrict_subtorus(P2, a, b), N
+        yield offs, None, P, grid
+        if rank == 2:
+            # slice (a, b) has offsets a o1 + b o2
+            slices = (directions @ np.array(offs).T)[:, :, None]
+            for (a, b), key in zip(SUBTORUS_DIRECTIONS, keys(slices, N)):
+                if new(key):
+                    yield offs, (a, b), restrict_subtorus(P, a, b), N
 
 
 def iter_search_covers(seeds, rank: int = 2, two_link: bool = True,
@@ -392,16 +353,15 @@ def iter_search_covers(seeds, rank: int = 2, two_link: bool = True,
     rank=1: every single-edge redirect, plus every edge pair with
     relative signs (+,+) and (+,-) when two_link is set.  rank=2: every
     edge pair spans the torus, reported whole (on a reduced grid) and
-    sliced along each coprime direction at the full grid N.  Only the
-    first edge choice of each seed-automorphism orbit is tried, and of
-    its covers only those whose cover-identity key (`_CoverKeys`) no
-    earlier cover of the same seed had: an equal key means an isomorphic
-    cover with the same band samples, whose band picture is already
-    seen, so it is skipped before it is built or eigensolved.  A row is
-    dropped when its band picture, rounded to 6 digits with zero-width
-    intervals read as points, was seen before.  A kept row's quotient
-    planarity reads the seed's planar rotation systems, which are
-    enumerated once per seed.
+    sliced along each coprime direction at the full grid N.  Of each
+    seed's covers only those whose cover-identity key (`_CoverKeys`) no
+    earlier cover of the same seed had are tried: an equal key means an
+    isomorphic cover with the same band samples, whose band picture is
+    already seen, so it is skipped before it is built or eigensolved.  A
+    row is dropped when its band picture, rounded to 6 digits with
+    zero-width intervals read as points, was seen before.  A kept row's
+    quotient planarity reads the seed's planar rotation systems, which
+    are enumerated once per seed.
     """
     if rank not in (1, 2):
         raise BadInput("rank must be 1 or 2")

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from ..errors import BadInput, MaxIterExceeded, _field
 from ..graphcore.multigraph import Multigraph
+from .intervals import IntervalSet
 from .quadratic import f_apply
 
 __all__ = ["WitnessPlan", "plan_gap_witness", "realize_plan"]
@@ -52,10 +53,8 @@ def _image(lo: float, hi: float):
     return min(va, vb), max(va, vb)
 
 
-def _gap_pairs(gaps) -> list:
-    if isinstance(gaps, dict):
-        gaps = gaps.get("intervals", [])
-    return [(float(a), float(b)) for a, b in gaps]
+def _gap_pairs(gaps) -> tuple:
+    return IntervalSet.from_json(gaps).intervals
 
 
 def _entry_id(entry) -> str:

@@ -1,24 +1,19 @@
-"""Test-only oracle: the cover search without the automorphism-orbit skip.
+"""Test-only oracle: the cover search without the cover-identity skip.
 
 `oracle_search_covers` tries every edge choice of every seed, as the
-search did before it learned to skip relabelled copies, and dedups with
+search did before it learned to skip isomorphic copies, and dedups with
 the library's `_dedup_key`.  It decides quotient planarity as the
 search once did, by one left-right test on each cyclic quotient C3..C8
 (`oracle_planar_quotients`, which also asks each ring to be connected),
-not from derived embeddings.  The tests
-compare its rows byte for byte with `iter_search_covers`, which also
-holds the search's exact planarity to the C3..C8 test.  `brute_orbit_firsts` decides the orbit skip
-from scratch: it relabels the redirected links under every vertex
-permutation that `is_automorphism` accepts.
+not from derived embeddings.  The tests compare its rows byte for byte
+with `iter_search_covers`, which also holds the search's exact
+planarity to the C3..C8 test.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from cubicgaps.covers import (PeriodicGraph, bands, cyclic_quotient,
                               gap_report, restrict_subtorus)
-from cubicgaps.covers.quotients import is_automorphism
 from cubicgaps.covers.search import (SUBTORUS_DIRECTIONS, CatalogEntry,
                                      _dedup_key, _entry_id, _offsets_for)
 from cubicgaps.errors import BadInput
@@ -87,44 +82,3 @@ def oracle_search_covers(seeds, rank=2, two_link=True, N=256):
                 planar_quotients=oracle_planar_quotients(cover)))
     return out
 
-
-def _links(seed, choice):
-    """The redirected links of a choice as (u, v, offset) triples; the
-    offset is None when its sign does not matter."""
-    edges, sign = choice
-    offs = (1, sign) if sign is not None else (None, None)
-    return [(*seed.edges[j], o) for j, o in zip(edges, offs)]
-
-
-def _normal(links):
-    """Links up to orientation, loop direction and global conjugation."""
-    def orient(u, v, o):
-        if u > v:
-            u, v, o = v, u, (None if o is None else -o)
-        if u == v and o is not None:
-            o = abs(o)
-        return (u, v, o)
-
-    forms = []
-    for flip in (1, -1):
-        forms.append(tuple(sorted(
-            orient(u, v, None if o is None else flip * o)
-            for u, v, o in links)))
-    return min(forms, key=repr)
-
-
-def brute_orbit_firsts(seed, choices):
-    """The choices that no earlier choice maps to under a vertex
-    automorphism, found over all n! permutations."""
-    autos = [p for p in itertools.permutations(range(seed.n))
-             if is_automorphism(seed, p)]
-    kept, kept_forms = [], set()
-    for choice in choices:
-        links = _links(seed, choice)
-        forms = {_normal([(p[u], p[v], o) for u, v, o in links])
-                 for p in autos}
-        if forms & kept_forms:
-            continue
-        kept.append(choice)
-        kept_forms |= forms
-    return kept

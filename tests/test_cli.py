@@ -194,8 +194,8 @@ class TestSearch:
     def test_default_seed_outputs_are_pinned(self, tmp_path):
         # the 4-vertex seeds share two band pictures across seeds, so
         # these digests also pin the cross-seed dedup; they also pin the
-        # automorphism-orbit skip, the point-normalised dedup key and
-        # the mirror rows that `bands` copies (83 rows, 13 planar)
+        # cover-identity skip, the point-normalised dedup key and the
+        # mirror rows that `bands` copies (83 rows, 13 planar)
         assert run("search", "--rank", 2, "--grid", 64,
                    "--out", tmp_path) == 0
         digests = {name: hashlib.sha256(
@@ -476,9 +476,19 @@ class TestWitness:
         # pull-back step), so no depth can ever work.
         cat = tmp_path / "cat.jsonl"
         cat.write_text(json.dumps(
-            {"id": "x", "gaps": [], "planar_quotients": True}) + "\n")
+            {"id": "x", "gaps": {"intervals": [], "points": []},
+             "planar_quotients": True}) + "\n")
         assert run("witness", "--xi", -2.0, "--delta", 0.05,
                    "--catalog", cat, "--out", tmp_path / "o") == 3
+
+    def test_catalog_gaps_as_bare_list_exits_4(self, tmp_path, capsys):
+        # a catalog row stores its gaps as an interval set object
+        cat = tmp_path / "cat.jsonl"
+        cat.write_text(json.dumps(
+            {"id": "x", "gaps": [], "planar_quotients": True}) + "\n")
+        assert run("witness", "--xi", -2.0, "--delta", 0.05,
+                   "--catalog", cat, "--out", tmp_path / "o") == 4
+        assert "not an object" in capsys.readouterr().err
 
     def test_bad_delta(self, tmp_path):
         assert run("witness", "--xi", 0.0, "--delta", -1.0,

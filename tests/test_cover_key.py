@@ -5,6 +5,8 @@ key must not change under the moves that give an isomorphic cover: a
 seed automorphism, a coboundary, negation (for rank 2 every signed axis
 move), permuting parallel edges and reversing a loop.  The moves here
 are applied to the offsets directly, not through the key's own tables.
+Rank 2 skips an edge pair with all its slices when its whole cover's
+key repeats, which needs equal whole keys to give equal slice keys.
 """
 
 import itertools
@@ -15,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicgaps.covers import PeriodicGraph, bands, search, search_covers
-from cubicgaps.covers.search import _CoverKeys
+from cubicgaps.covers.search import (SUBTORUS_DIRECTIONS, _CoverKeys,
+                                     _offsets_for)
 from cubicgaps.errors import BadInput
 from cubicgaps.graphcore import (Multigraph, automorphisms,
                                  enumerate_cubic_multigraphs)
@@ -194,9 +197,16 @@ def test_key_separates_grid_and_rank():
     assert keys([one], 64) != keys([two], 64)
 
 
+def _workload_prefix():
+    """The `search` benchmark workload's seeds: the first 6 of the 4-
+    and 6-vertex cells."""
+    return (enumerate_cubic_multigraphs(4)
+            + enumerate_cubic_multigraphs(6))[:6]
+
+
 def test_workload_prefix_takes_at_most_160_eigensolves(monkeypatch):
-    # the `search` benchmark workload: the first 6 of the 4- and
-    # 6-vertex cells, rank 2, N=256; 323 solves before the key
+    # the `search` benchmark workload, rank 2, N=256; 323 solves
+    # before the key
     solved = []
 
     def counted(P, N):
@@ -204,8 +214,53 @@ def test_workload_prefix_takes_at_most_160_eigensolves(monkeypatch):
         return bands(P, N)
 
     monkeypatch.setattr(search, "bands", counted)
-    seeds = (enumerate_cubic_multigraphs(4)
-             + enumerate_cubic_multigraphs(6))[:6]
-    rows = search_covers(seeds, rank=2, two_link=True, N=256)
+    rows = search_covers(_workload_prefix(), rank=2, two_link=True, N=256)
     assert len(rows) == 134
     assert len(solved) <= 160
+
+
+def test_equal_whole_keys_give_equal_slice_keys():
+    # the rank-2 skip drops a pair's slices with its whole cover, so
+    # every class of pairs with one whole key has one set of slice keys
+    directions = np.array(SUBTORUS_DIRECTIONS)
+    for seed in CELLS:
+        m, keys = len(seed.edges), _CoverKeys(seed)
+        pairs = np.array([_offsets_for(m, {j: (1, 0), k: (0, 1)}, 2)
+                          for j in range(m) for k in range(j + 1, m)])
+        slices = keys((pairs @ directions.T).transpose(0, 2, 1)
+                      .reshape(-1, m, 1), 64)
+        per_pair = [frozenset(slices[i:i + len(directions)])
+                    for i in range(0, len(slices), len(directions))]
+        classes = {}
+        for whole, sliced in zip(keys(pairs, 16), per_pair):
+            classes.setdefault(whole, set()).add(sliced)
+        assert all(len(found) == 1 for found in classes.values()), seed
+
+
+def test_workload_prefix_builds_at_most_31_rank2_covers(monkeypatch):
+    # a pair whose whole key repeats is skipped before its cover is
+    # built; 34 builds when an automorphism-orbit skip came first
+    built = []
+
+    def counted(base, rank, offsets, name=""):
+        built.append(rank)
+        return PeriodicGraph(base, rank, offsets, name=name)
+
+    monkeypatch.setattr(search, "PeriodicGraph", counted)
+    rows = search_covers(_workload_prefix(), rank=2, two_link=True, N=256)
+    assert len(rows) == 134
+    assert built.count(2) <= 31
+
+
+@pytest.mark.parametrize("rank", (1, 2))
+def test_automorphisms_run_once_per_seed(monkeypatch, rank):
+    calls = []
+
+    def counted(G):
+        calls.append(G)
+        return automorphisms(G)
+
+    monkeypatch.setattr(search, "automorphisms", counted)
+    seeds = _workload_prefix()
+    search_covers(seeds, rank=rank, two_link=True, N=32)
+    assert calls == seeds

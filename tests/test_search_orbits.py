@@ -1,8 +1,10 @@
-"""The automorphism-orbit skip of the cover search and its dedup key.
+"""The cover search's symmetry skip and its band-picture dedup key.
 
-The skip must not change a single catalog byte: every row of
-`iter_search_covers` matches the unskipped sweep in `search_oracle.py`,
-whose C3..C8 planarity test also checks the search's derived embeddings.
+The seed automorphisms feed the cover-identity key (`_CoverKeys`), and
+skipping by that key must not change a single catalog byte: every row
+of `iter_search_covers` matches the unskipped sweep in
+`search_oracle.py`, whose C3..C8 planarity test also checks the
+search's derived embeddings.
 """
 
 import itertools
@@ -10,12 +12,12 @@ import json
 
 import pytest
 import search_oracle
-from search_oracle import brute_orbit_firsts, oracle_search_covers
+from search_oracle import oracle_search_covers
 
 from cubicgaps.covers import bands, gap_report, iter_search_covers, search
 from cubicgaps.covers.periodic import GapReport
 from cubicgaps.covers.quotients import is_automorphism
-from cubicgaps.covers.search import _dedup_key, _orbit_firsts
+from cubicgaps.covers.search import _CoverKeys, _dedup_key, _offsets_for
 from cubicgaps.dynamics.intervals import IntervalSet
 from cubicgaps.graphcore import (Multigraph, automorphisms,
                                  enumerate_cubic_multigraphs)
@@ -28,15 +30,10 @@ def _rows(entries):
             for e in entries]
 
 
-def _choices(m):
-    singles = [((j,), None) for j in range(m)]
-    pairs = [((j, k), None) for j in range(m) for k in range(j + 1, m)]
-    signed = [((j, k), s) for j in range(m) for k in range(j + 1, m)
-              for s in (1, -1)]
-    return singles, pairs, signed
-
-
 class TestOrbitHelper:
+    """The seed automorphisms that the cover key reads, and two hand
+    cases of the key's relative-sign rule."""
+
     def test_cells_include_loops_and_multi_edges(self):
         assert any(G.has_loops for G in SMALL_CELLS)
         assert any(G.has_multi for G in SMALL_CELLS)
@@ -49,30 +46,31 @@ class TestOrbitHelper:
         assert len(got) == len(set(got))
         assert set(got) == brute
 
-    @pytest.mark.parametrize("G", SMALL_CELLS, ids=lambda G: G.name or "cell")
-    def test_orbit_firsts_match_brute_force(self, G):
-        for choices in _choices(len(G.edges)):
-            assert list(_orbit_firsts(G, choices)) == \
-                brute_orbit_firsts(G, choices)
-
     def test_loop_reaches_both_signs(self):
         # reversing the loop and conjugating turns (loop +1, edge -1)
-        # into (loop +1, edge +1), so the second sign is skipped
+        # into (loop +1, edge +1), so both signs share one key
         G = Multigraph(4, [(0, 0), (0, 1), (1, 2), (1, 3), (2, 3), (2, 3)])
         loop, edge = G.edges.index((0, 0)), G.edges.index((0, 1))
-        kept = list(_orbit_firsts(G, [((loop, edge), 1), ((loop, edge), -1)]))
-        assert kept == [((loop, edge), 1)]
+        plus, minus = _sign_keys(G, loop, edge)
+        assert plus == minus
 
     def test_orientation_flip_maps_sign(self):
         # 0 <-> 1, 2 <-> 3 reverses both (0, 1) and (2, 3), and every
         # other automorphism reverses both or neither, so the relative
-        # sign is kept and the two signs lie in different orbits
+        # sign is kept; no coboundary moves the net offset around the
+        # cycle 0, 1, 3, 2 (0 for +1, 2 for -1), so the keys differ
         G = Multigraph(4, [(0, 1), (0, 2), (0, 2), (1, 3), (1, 3), (2, 3)])
         assert is_automorphism(G, (1, 0, 3, 2))
         a, b = G.edges.index((0, 1)), G.edges.index((2, 3))
-        choices = [((a, b), 1), ((a, b), -1)]
-        assert list(_orbit_firsts(G, choices)) == choices
-        assert brute_orbit_firsts(G, choices) == choices
+        plus, minus = _sign_keys(G, a, b)
+        assert plus != minus
+
+
+def _sign_keys(G, a, b):
+    """The rank-1 keys of edge a at +1 with edge b at +1 and at -1."""
+    m = len(G.edges)
+    return _CoverKeys(G)([_offsets_for(m, {a: (1,), b: (s,)}, 1)
+                          for s in (1, -1)], 32)
 
 
 @pytest.fixture

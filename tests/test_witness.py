@@ -51,9 +51,21 @@ class TestPlanner:
     def test_junk_pinned_point_exhausts_iterations(self):
         # With no gaps available, xi = -2 can never advance: every
         # pull-back step injects -2, so the interval is stuck.
-        gapless = [{"id": "x", "gaps": [], "planar_quotients": True}]
+        gapless = [{"id": "x", "gaps": {"intervals": [], "points": []},
+                    "planar_quotients": True}]
         with pytest.raises(MaxIterExceeded):
             plan_gap_witness(-2.0, 0.05, gapless)
+
+    @pytest.mark.parametrize("gaps,match", [
+        ({"intervals": [[True, 2]], "points": []}, "'intervals'"),
+        ({"intervals": [[-1.0, 1.0]], "points": [False]}, "'points'"),
+        ({}, "no 'intervals' field"),
+        ([[-1.0, 1.0]], "not an object"),
+    ])
+    def test_malformed_gaps_are_refused(self, gaps, match):
+        row = {"id": "x", "gaps": gaps, "planar_quotients": True}
+        with pytest.raises(BadInput, match=match):
+            plan_gap_witness(0.0, 0.05, [row])
 
     def test_json_round_trip(self, catalog):
         plan = plan_gap_witness(-1.5, 0.05, catalog)
